@@ -5,20 +5,19 @@ upper-triangle adjacency bits, read column by column (the graph6 bit order),
 form the lexicographically largest string. Two graphs are isomorphic exactly
 when their canonical strings agree.
 
-The search assigns labels 0, 1, ... one at a time. Placing vertex v at label
-d fixes column d of the string (the adjacency bits of v against the already
-placed labels), so branches can be compared against the best known string
-column by column: branches whose column falls short are cut, ties descend,
-and a branch that strictly exceeds the best is completed greedily and
-installed as the new best. Complete ties are automorphisms; they are
-collected and used to skip sibling labels in the same orbit, which is what
-keeps highly symmetric graphs (cliques, complete bipartite graphs, unions of
-isolated vertices) from exploding.
+One branch-and-bound engine over bitmasks assigns labels 0, 1, ... in turn;
+vertex v at label d fixes column d, v's adjacency bits against the placed
+labels (label 0 most significant). d bitwise ANDs over the placed rows give
+the largest column a free vertex can take and its tie set. A column below the
+target cuts the node; otherwise the engine branches on the tie set from the
+lowest vertex, skipping twins of an explored sibling (the swap is an
+automorphism) and vertices in its orbit under the recorded automorphisms
+fixing the prefix (complete labellings that tie the target).
 
-``is_canonically_labeled`` runs the same engine with the identity labelling
-as a fixed target and answers whether the graph as labelled already attains
-the maximum. That is the acceptance test of the orderly enumeration in
-``search``.
+``canonical_form`` completes a column above the best greedily and installs it
+as the new best. ``is_canonically_labeled``, the accept test of the orderly
+enumeration in ``search``, fixes the identity labelling as the target and
+fails once a column beats it.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import graph6
-from .graphs import Graph
+from .graphs import Graph, _bits
 
 __all__ = [
     "CanonicalForm",
@@ -51,125 +50,126 @@ class CanonicalForm:
     relabeling: tuple[int, ...]
 
 
+class _Exceeded(Exception):
+    """A column beat the identity labelling's column (test mode)."""
+
+
+def _top(rows: Sequence[int], assigned: Sequence[int], d: int, free: int) -> tuple[int, int]:
+    """Largest column value at label d over the free vertices, and its tie set."""
+    val = 0
+    ties = free
+    for i in range(d):
+        hit = ties & rows[assigned[i]]
+        val <<= 1
+        if hit:
+            ties = hit
+            val |= 1
+    return val, ties
+
+
 class _Search:
     """Branch-and-bound over labellings for the maximal column string."""
 
-    __slots__ = ("rows", "n", "gens", "_genset", "best_cols", "best_assigned", "updating", "exceeded")
+    __slots__ = ("rows", "n", "test", "assigned", "best_cols", "best_assigned", "gens")
 
-    def __init__(self, rows: Sequence[int], n: int):
+    def __init__(self, rows: Sequence[int], n: int, test: bool):
         self.rows = rows
         self.n = n
-        self.gens: list[tuple[int, ...]] = []
-        self._genset: set[tuple[int, ...]] = set()
-        self.updating = False
-        self.exceeded = False
+        self.test = test
+        self.assigned = [0] * n
+        self.best_assigned = tuple(range(n))
+        if test:  # the identity labelling's columns are the fixed target
+            self.best_cols = [_top(rows, self.best_assigned, d, 1 << d)[0] for d in range(n)]
+        else:  # below every column, so the root is completed greedily
+            self.best_cols = [-1] * n
+        self.gens: dict[tuple[int, ...], int] = {}  # automorphism -> fixed-point mask
 
-    def run_test(self) -> bool:
-        """True iff the identity labelling is lexicographically maximal."""
-        self.best_cols = self._identity_cols()
-        self.best_assigned = tuple(range(self.n))
-        self.updating = False
-        self.exceeded = False
-        self._recurse(0, [], [(v, 0) for v in range(self.n)])
-        return not self.exceeded
+    def run(self) -> bool:
+        """Search every labelling; False iff test mode saw the identity beaten."""
+        try:
+            self._descend(0, (1 << self.n) - 1)
+        except _Exceeded:
+            return False
+        return True
 
-    def run_max(self) -> tuple[list[int], tuple[int, ...]]:
-        """Maximal column string and one labelling attaining it."""
-        self.updating = True
-        root = [(v, 0) for v in range(self.n)]
-        self.best_cols, self.best_assigned = self._greedy(0, [], root, None, None)
-        self._recurse(0, [], root)
-        return self.best_cols, self.best_assigned
-
-    def _identity_cols(self) -> list[int]:
-        cols = []
-        for d in range(self.n):
-            val = 0
-            row = self.rows[d]
-            for i in range(d):
-                val = (val << 1) | ((row >> i) & 1)
-            cols.append(val)
-        return cols
-
-    def _greedy(self, depth, assigned, cands, forced, forced_val):
-        """Complete a labelling by always taking the largest column value."""
-        cols = list(self.best_cols[:depth]) if depth else []
-        asg = list(assigned)
-        cur = cands
-        while len(asg) < self.n:
-            if forced is not None:
-                v, val = forced, forced_val
-                forced = None
-            else:
-                v, val = cur[0]
-                for u, uval in cur[1:]:
-                    if uval > val:
-                        v, val = u, uval
-            cols.append(val)
+    def _greedy(self, d: int, val: int, ties: int, free: int) -> None:
+        """Install the greedy completion of the prefix as the new best."""
+        asg = self.assigned[:d]
+        cols = self.best_cols[:d]
+        while True:
+            v = (ties & -ties).bit_length() - 1
             asg.append(v)
-            cur = [(u, (uval << 1) | ((self.rows[u] >> v) & 1)) for u, uval in cur if u != v]
-        return cols, tuple(asg)
+            cols.append(val)
+            free ^= 1 << v
+            if not free:
+                break
+            val, ties = _top(self.rows, asg, len(asg), free)
+        self.best_cols = cols
+        self.best_assigned = tuple(asg)
 
-    def _record_automorphism(self, assigned):
+    def _record_automorphism(self) -> None:
         phi = [0] * self.n
-        for lbl in range(self.n):
-            phi[self.best_assigned[lbl]] = assigned[lbl]
+        for lbl, v in enumerate(self.best_assigned):
+            phi[v] = self.assigned[lbl]
         perm = tuple(phi)
-        if perm != tuple(range(self.n)) and perm not in self._genset:
-            self._genset.add(perm)
-            self.gens.append(perm)
+        fixed = sum(1 << x for x in range(self.n) if perm[x] == x)
+        if fixed != (1 << self.n) - 1:
+            self.gens[perm] = fixed
 
-    def _orbit_hit(self, v, explored, assigned):
-        """Is v mapped into an explored sibling by automorphisms fixing the prefix?"""
-        if not explored or not self.gens:
-            return False
-        gens_here = [g for g in self.gens if all(g[a] == a for a in assigned)]
-        if not gens_here:
-            return False
-        reach = set(explored)
-        stack = list(explored)
+    def _orbit_hit(self, v: int, explored: int, prefix: int) -> bool:
+        """Is v mapped onto an explored sibling by automorphisms fixing the prefix?"""
+        gens = [g for g, fixed in self.gens.items() if prefix & fixed == prefix]
+        orbit = 1 << v
+        stack = [v]
         while stack:
             x = stack.pop()
-            for g in gens_here:
+            for g in gens:
                 y = g[x]
-                if y not in reach:
-                    if y == v:
+                if not (orbit >> y) & 1:
+                    if (explored >> y) & 1:
                         return True
-                    reach.add(y)
+                    orbit |= 1 << y
                     stack.append(y)
-        return v in reach
+        return False
 
-    def _recurse(self, depth, assigned, cands):
-        if depth == self.n:
-            self._record_automorphism(assigned)
+    def _descend(self, d: int, free: int) -> None:
+        if d == self.n:
+            # a complete labelling tying the best string: an automorphism
+            self._record_automorphism()
             return
-        order = sorted(cands, key=lambda t: (-t[1], t[0]))
-        explored: list[int] = []
-        for v, val in order:
-            target = self.best_cols[depth]
-            if val < target:
-                break
-            if val > target:
-                if not self.updating:
-                    self.exceeded = True
-                    return
-                self.best_cols, self.best_assigned = self._greedy(depth, assigned, cands, v, val)
-            if self._orbit_hit(v, explored, assigned):
+        assigned = self.assigned
+        val, ties = _top(self.rows, assigned, d, free)
+        target = self.best_cols[d]
+        if val < target:
+            return
+        if val > target:
+            if self.test:
+                raise _Exceeded
+            self._greedy(d, val, ties, free)
+        if not ties & (ties - 1):  # one candidate, no sibling to skip
+            assigned[d] = ties.bit_length() - 1
+            self._descend(d + 1, free ^ ties)
+            return
+        prefix = ((1 << self.n) - 1) ^ free
+        explored = 0
+        # explored siblings' rows and closed rows: without loops the two never coincide
+        seen: set[int] = set()
+        for v in _bits(ties):
+            row = self.rows[v]
+            closed = row | (1 << v)
+            if row in seen or closed in seen:
+                continue  # a twin of an explored sibling
+            if explored and self._orbit_hit(v, explored, prefix):
                 continue
-            explored.append(v)
-            assigned.append(v)
-            child = [(u, (uval << 1) | ((self.rows[u] >> v) & 1)) for u, uval in cands if u != v]
-            self._recurse(depth + 1, assigned, child)
-            assigned.pop()
-            if self.exceeded:
-                return
+            explored |= 1 << v
+            seen.update((row, closed))
+            assigned[d] = v
+            self._descend(d + 1, free ^ (1 << v))
 
 
 def is_canonically_labeled(rows: Sequence[int], n: int) -> bool:
     """True iff the labelled graph equals its own canonical representative."""
-    if n <= 1:
-        return True
-    return _Search(rows, n).run_test()
+    return _Search(rows, n, test=True).run()
 
 
 def _pack(n: int, cols: list[int]) -> bytes:
@@ -181,13 +181,12 @@ def _pack(n: int, cols: list[int]) -> bytes:
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
-    if g.n == 1:
-        return CanonicalForm(_pack(1, [0]), (0,))
-    cols, assigned = _Search(g.rows, g.n).run_max()
+    search = _Search(g.rows, g.n, test=False)
+    search.run()
     relab = [0] * g.n
-    for label, v in enumerate(assigned):
+    for label, v in enumerate(search.best_assigned):
         relab[v] = label
-    return CanonicalForm(_pack(g.n, cols), tuple(relab))
+    return CanonicalForm(_pack(g.n, search.best_cols), tuple(relab))
 
 
 def canonical_graph(g: Graph) -> Graph:

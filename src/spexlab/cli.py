@@ -232,6 +232,19 @@ def _validate_plan(plan: CommandPlan) -> None:
             raise UsageError(f"spex supports n <= {MAX_N}")
     if plan.command == "ex" and not 2 <= p["n"] <= MAX_N:
         raise UsageError(f"ex needs 2 <= n <= {MAX_N}")
+    if plan.command in ("spex", "ex"):
+        if p["workers"] is not None and p["workers"] < 1:
+            raise UsageError("--workers must be at least 1")
+        if p["split_depth"] < 0:
+            raise UsageError("--split-depth must be at least 0")
+        env = os.environ.get("SPEX_THREADS")
+        if p["workers"] is None and env is not None:
+            try:
+                threads = int(env)
+            except ValueError:
+                threads = 0
+            if threads < 1:
+                raise UsageError(f"SPEX_THREADS must be a positive integer, got {env!r}")
     if plan.command in ("classify", "audit") and p["k"] < 2:
         raise UsageError("--k must be at least 2")
 

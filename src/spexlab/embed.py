@@ -16,12 +16,13 @@ from dataclasses import dataclass
 from .errors import EmbeddingCaseError, ParameterError
 from .graphs import (
     Graph,
+    _bits,
     bipartite_plus_edge,
     bipartite_plus_matching,
     bipartite_plus_path,
     complete_bipartite,
 )
-from .trees import Tree, TreeFamily, _centroids
+from .trees import Tree, TreeFamily
 
 __all__ = [
     "Embedding",
@@ -62,25 +63,6 @@ def verify_embedding(host: Graph, pattern: Graph, emb: Embedding) -> bool:
     return all(host.has_edge(m[u], m[v]) for u, v in pattern.edges())
 
 
-def _bfs_order(tree: Tree) -> tuple[list[int], list[int]]:
-    """Pattern vertices in BFS order from the lowest-index centroid.
-
-    Returns (order, parent position in order) with parent[0] = -1.
-    """
-    adj = [list(tree.graph.neighbors(v)) for v in range(tree.graph.n)]
-    root = min(_centroids(adj))
-    order = [root]
-    parent_pos = [-1]
-    pos_of = {root: 0}
-    for v in order:
-        for u in adj[v]:
-            if u not in pos_of:
-                pos_of[u] = len(order)
-                order.append(u)
-                parent_pos.append(pos_of[v])
-    return order, parent_pos
-
-
 def contains_tree(host: Graph, tree: Tree) -> Embedding | None:
     """An embedding of the tree into the host, or None if there is none.
 
@@ -93,8 +75,7 @@ def contains_tree(host: Graph, tree: Tree) -> Embedding | None:
     t = tree.graph.n
     if t > host.n:
         return None
-    order, parent_pos = _bfs_order(tree)
-    pdeg = [tree.graph.degree(v) for v in order]
+    order, parent_pos, pdeg = tree.bfs_order
     hdeg = host.degrees()
     hrows = host.rows
     assign = [0] * t
@@ -132,13 +113,6 @@ def contains_tree(host: Graph, tree: Tree) -> Embedding | None:
     for i, v in enumerate(order):
         mapping[v] = assign[i]
     return Embedding(tuple(mapping))
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def family_membership(host: Graph, family: TreeFamily) -> FamilyMembership:

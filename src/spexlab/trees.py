@@ -13,7 +13,7 @@ their canonical level sequences, path first, star last.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import ParameterError
 from .graphs import Graph, from_edges
@@ -30,6 +30,27 @@ class Tree:
     graph: Graph
     part_a: tuple[int, ...]
     part_b: tuple[int, ...]
+
+    @cached_property
+    def bfs_order(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """Vertices in BFS order from the lowest-index centroid, computed once.
+
+        Returns (order, parent position in order, degree), each indexed by
+        position in order, with parent position -1 for the root.
+        """
+        g = self.graph
+        adj = [g.neighbors(v) for v in range(g.n)]
+        root = min(_centroids(adj))
+        order = [root]
+        parent_pos = [-1]
+        pos_of = {root: 0}
+        for v in order:
+            for u in adj[v]:
+                if u not in pos_of:
+                    pos_of[u] = len(order)
+                    order.append(u)
+                    parent_pos.append(pos_of[v])
+        return tuple(order), tuple(parent_pos), tuple(len(adj[v]) for v in order)
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,23 @@
+import hashlib
 import itertools
 import random
+
+import pytest
+
+from oracles import all_labeled_graphs
 
 from spexlab.canon import canonical_form, canonical_g6, canonical_graph, is_canonically_labeled
 from spexlab.graphs import (
     clique,
     complete_bipartite,
     complete_split,
+    complete_split_plus,
     cycle,
     disjoint_union,
     from_edges,
     path_graph,
 )
+from spexlab.search import enumerate_graphs
 
 
 def random_graph(rng, n, p=0.4):
@@ -115,3 +122,61 @@ def test_canonical_g6_stable_across_relabelings():
     g = complete_split(7, 3)
     s = canonical_g6(g)
     assert canonical_g6(g.relabel((6, 5, 4, 3, 2, 1, 0))) == s
+
+
+def _form_digest(graphs, seed, relabelings):
+    """sha256 over (data, relabeling) of seeded relabellings of each graph."""
+    rng = random.Random(seed)
+    h = hashlib.sha256()
+    for g in graphs:
+        for _ in range(relabelings):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            form = canonical_form(g.relabel(tuple(perm)))
+            h.update(form.data + bytes(form.relabeling))
+    return h.hexdigest()
+
+
+def test_forms_pinned_for_every_class_up_to_7(graphs_on_7):
+    # both the canonical strings and the labellings attaining them are pinned
+    graphs = [g for n in range(1, 7) for g in enumerate_graphs(n)] + graphs_on_7
+    assert _form_digest(graphs, 20261018, 3) == (
+        "68b7c4735cec18e6cb17ba5728bb715569381b1c749dd89c7f30f9e81f271c91"
+    )
+
+
+def test_twin_heavy_forms_pinned():
+    graphs = [
+        from_edges(10, []),
+        complete_split(10, 3),
+        complete_bipartite(2, 8),
+        complete_split_plus(9, 2),
+    ]
+    assert _form_digest(graphs, 8, 5) == (
+        "edb28afe8981bf5abc737e9895efa2441fcd5e5ab13bd8c6a3559a48f2a88630"
+    )
+    rng = random.Random(9)
+    for g in graphs:
+        rep = canonical_graph(g)
+        assert is_canonically_labeled(rep.rows, rep.n)
+        for _ in range(5):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = g.relabel(tuple(perm))
+            assert canonical_graph(h).rows == rep.rows
+            assert is_canonically_labeled(h.rows, h.n) == (h.rows == rep.rows)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_is_canonically_labeled_matches_brute_force_lex_max(n):
+    def column_bits(rows):
+        return tuple((rows[j] >> i) & 1 for j in range(1, n) for i in range(j))
+
+    verdict = {}
+    for g in all_labeled_graphs(n):
+        if g.rows not in verdict:
+            orbit = {g.relabel(p).rows for p in itertools.permutations(range(n))}
+            best = max(orbit, key=column_bits)
+            verdict.update((rows, rows == best) for rows in orbit)
+    for g in all_labeled_graphs(n):
+        assert is_canonically_labeled(g.rows, n) == verdict[g.rows]

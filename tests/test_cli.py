@@ -188,6 +188,22 @@ def test_exit_codes():
     assert main(["contains", "--graph", "Bw", "--tree", "Bw"]) == 2  # not a tree
 
 
+def test_bad_spex_threads_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("SPEX_THREADS", "abc")
+    assert main(["spex", "--n", "6", "--k", "2"]) == 2
+    assert "usage error: SPEX_THREADS" in capsys.readouterr().err
+
+
+def test_negative_workers_is_a_usage_error(capsys):
+    assert main(["spex", "--n", "6", "--k", "2", "--workers", "-1"]) == 2
+    assert "usage error: --workers" in capsys.readouterr().err
+
+
+def test_negative_split_depth_is_a_usage_error(capsys):
+    assert main(["ex", "--n", "6", "--tree", encode(path_graph(4)), "--split-depth", "-1"]) == 2
+    assert "usage error: --split-depth" in capsys.readouterr().err
+
+
 def test_parse_and_plan_is_total():
     rng = random.Random(1)
     vocabulary = [

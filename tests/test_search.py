@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from oracles import all_labeled_graphs, eig_radius, naive_contains
@@ -26,6 +28,14 @@ def test_class_counts_7(graphs_on_7):
 
 def test_class_counts_8(graphs_on_8):
     assert len(graphs_on_8) == CLASS_COUNTS[8]
+
+
+def test_stream_8_pinned(graphs_on_8):
+    # the orderly stream's order and labellings, not just its size
+    stream = "".join(encode(g) + "\n" for g in graphs_on_8)
+    assert hashlib.sha256(stream.encode()).hexdigest() == (
+        "982ab91a9236af4ed0cbeaf5f47f10d1e41a821d7d3f3b191109d302fe0e41d6"
+    )
 
 
 @pytest.mark.parametrize("n", range(1, 7))
