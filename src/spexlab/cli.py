@@ -29,7 +29,7 @@ from .errors import (
     UsageError,
 )
 from .graphs import Graph, construct, family_parameters
-from .search import MAX_N, ex_search, spex_search, enumerate_graphs
+from .search import MAX_N, ex_search, spex_search, enumerate_graphs, threads_from_env
 from .spectral import (
     audit_extremal_lemmas,
     classify_vertices,
@@ -237,14 +237,11 @@ def _validate_plan(plan: CommandPlan) -> None:
             raise UsageError("--workers must be at least 1")
         if p["split_depth"] < 0:
             raise UsageError("--split-depth must be at least 0")
-        env = os.environ.get("SPEX_THREADS")
-        if p["workers"] is None and env is not None:
+        if p["workers"] is None:
             try:
-                threads = int(env)
-            except ValueError:
-                threads = 0
-            if threads < 1:
-                raise UsageError(f"SPEX_THREADS must be a positive integer, got {env!r}")
+                threads_from_env()
+            except ParameterError as exc:
+                raise UsageError(str(exc)) from None
     if plan.command in ("classify", "audit") and p["k"] < 2:
         raise UsageError("--k must be at least 2")
 

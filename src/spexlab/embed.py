@@ -66,8 +66,8 @@ def verify_embedding(host: Graph, pattern: Graph, emb: Embedding) -> bool:
 def contains_tree(host: Graph, tree: Tree) -> Embedding | None:
     """An embedding of the tree into the host, or None if there is none.
 
-    Candidates that are host twins of an already-failed candidate (same open
-    or same closed neighborhood) are skipped: swapping twins is a host
+    Candidates in the host twin class (``Graph.twin_masks``) of an
+    already-failed candidate are skipped: swapping twins is a host
     automorphism fixing the partial assignment, so the retry cannot succeed.
     This keeps misses polynomial on hosts with large interchangeable classes
     (independent parts, bipartite sides).
@@ -78,6 +78,7 @@ def contains_tree(host: Graph, tree: Tree) -> Embedding | None:
     order, parent_pos, pdeg = tree.bfs_order
     hdeg = host.degrees()
     hrows = host.rows
+    twins = host.twin_masks
     assign = [0] * t
     used = 0
 
@@ -90,21 +91,16 @@ def contains_tree(host: Graph, tree: Tree) -> Embedding | None:
             cand = range(host.n)
         else:
             cand = _bits(hrows[assign[parent_pos[i]]] & ~used)
-        failed_open: set[int] = set()
-        failed_closed: set[int] = set()
+        failed = 0
         for hv in cand:
-            if hdeg[hv] < need:
-                continue
-            row = hrows[hv]
-            if row in failed_open or row | (1 << hv) in failed_closed:
+            if hdeg[hv] < need or (failed >> hv) & 1:
                 continue
             assign[i] = hv
             used |= 1 << hv
             if place(i + 1):
                 return True
             used &= ~(1 << hv)
-            failed_open.add(row)
-            failed_closed.add(row | (1 << hv))
+            failed |= twins[hv]
         return False
 
     if not place(0):

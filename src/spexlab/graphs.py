@@ -13,6 +13,7 @@ labels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -122,6 +123,31 @@ class Graph:
 
     def is_connected(self) -> bool:
         return len(self.components()) == 1
+
+    @cached_property
+    def twin_masks(self) -> tuple[int, ...]:
+        """Bitmask of each vertex's twin class (see ``twin_classes``)."""
+        by_open: dict[int, int] = {}
+        by_closed: dict[int, int] = {}
+        for v, row in enumerate(self.rows):
+            by_open[row] = by_open.get(row, 0) | 1 << v
+            closed = row | 1 << v
+            by_closed[closed] = by_closed.get(closed, 0) | 1 << v
+        return tuple(
+            by_open[row] if by_open[row] != 1 << v else by_closed[row | 1 << v]
+            for v, row in enumerate(self.rows)
+        )
+
+    def twin_classes(self) -> tuple[tuple[int, ...], ...]:
+        """Classes of vertices with equal open or equal closed neighborhoods.
+
+        Open twins are pairwise non-adjacent and closed twins pairwise
+        adjacent, so no vertex has twins of both kinds and the classes
+        partition the vertex set. The partition is equitable: all vertices
+        of a class have the same number of neighbors in each class. Classes
+        are sorted tuples, ordered by smallest vertex.
+        """
+        return tuple(tuple(_bits(mask)) for mask in dict.fromkeys(self.twin_masks))
 
     def np_adjacency(self) -> np.ndarray:
         """Dense float64 adjacency matrix."""

@@ -43,7 +43,7 @@ from .spectral import (
 )
 from .trees import Tree, generate_trees, tree_from_graph
 
-__all__ = ["SearchReport", "enumerate_graphs", "spex_search", "ex_search"]
+__all__ = ["SearchReport", "enumerate_graphs", "spex_search", "ex_search", "threads_from_env"]
 
 MAX_N = 10
 TIE_TOL = 1e-9
@@ -245,19 +245,32 @@ def _scan_split(n: int, cfg: dict, split_depth: int) -> tuple[dict, list]:
     return state, units
 
 
+def threads_from_env() -> int | None:
+    """The worker count set by SPEX_THREADS, or None when it is unset.
+
+    Raises ParameterError for a value that is not an integer of at least 1.
+    """
+    env = os.environ.get("SPEX_THREADS")
+    if env is None:
+        return None
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ParameterError(f"SPEX_THREADS must be a positive integer, got {env!r}")
+    return workers
+
+
 def _resolve_workers(workers: int | None) -> int:
     if workers is None:
-        env = os.environ.get("SPEX_THREADS")
-        if env is not None:
-            workers = int(env)
-        else:
-            workers = os.cpu_count() or 1
+        workers = threads_from_env() or os.cpu_count() or 1
     return max(1, workers)
 
 
 def _run_search(n: int, cfg: dict, workers: int | None, split_depth: int) -> list[dict]:
-    parent, units = _scan_split(n, cfg, split_depth)
     workers = _resolve_workers(workers)
+    parent, units = _scan_split(n, cfg, split_depth)
     if workers <= 1 or len(units) <= 1:
         parts = [_scan(u) for u in units]
     else:

@@ -10,6 +10,7 @@ from spexlab.errors import UsageError
 from spexlab.graph6 import encode
 from spexlab.graphs import complete_split, path_graph
 from spexlab.schemas import validate_output
+from spexlab.spectral import DENSE_LIMIT
 
 
 def run_cli(argv):
@@ -182,8 +183,9 @@ def test_exit_codes():
     assert main([]) == 2
     assert main(["spectral", "--graph", "Bw", "--max-iterations", "3",
                  "--format", "json"]) in (0, 3)
-    # a path needs many more than 2 iterations at tol 1e-12
-    assert main(["spectral", "--graph", encode(path_graph(9)),
+    # a twin-free path above the dense limit starts from all ones and needs
+    # many more than 2 iterations at tol 1e-12
+    assert main(["spectral", "--family", "path", "--t", str(DENSE_LIMIT + 1),
                  "--max-iterations", "2", "--format", "json"]) == 3
     assert main(["contains", "--graph", "Bw", "--tree", "Bw"]) == 2  # not a tree
 

@@ -1,5 +1,7 @@
 import pytest
 
+from oracles import all_labeled_graphs
+
 from spexlab.errors import ParameterError
 from spexlab.graphs import (
     bipartite_plus_edge,
@@ -165,3 +167,50 @@ def test_loops_and_range_rejected():
         from_edges(3, [(0, 3)])
     with pytest.raises(ParameterError):
         from_edges(0, [])
+
+
+# ---------------------------------------------------------------------------
+# twin classes
+
+
+def _open_twins(g, cls):
+    return len({g.rows[v] for v in cls}) == 1
+
+
+def _closed_twins(g, cls):
+    return len({g.rows[v] | 1 << v for v in cls}) == 1
+
+
+def test_twin_classes_of_named_graphs():
+    empty = from_edges(6, [])
+    assert empty.twin_classes() == (tuple(range(6)),)
+    assert _open_twins(empty, range(6))
+    assert clique(5).twin_classes() == (tuple(range(5)),)
+    assert _closed_twins(clique(5), range(5))
+    assert path_graph(9).twin_classes() == tuple((v,) for v in range(9))
+    for n, k in ((5, 2), (12, 3), (40, 5)):
+        # the clique part is closed twins, the independent part open twins
+        assert complete_split(n, k).twin_classes() == (tuple(range(k)), tuple(range(k, n)))
+    for a, b in ((1, 3), (2, 8), (5, 3)):
+        assert complete_bipartite(a, b).twin_classes() == (
+            tuple(range(a)), tuple(range(a, a + b)))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_twin_classes_brute_force(n):
+    # u and v are twins (open or closed) exactly when N(u) - v == N(v) - u
+    for g in all_labeled_graphs(n):
+        classes = g.twin_classes()
+        assert sorted(v for cls in classes for v in cls) == list(range(n))
+        assert [cls[0] for cls in classes] == sorted(cls[0] for cls in classes)
+        label = {v: i for i, cls in enumerate(classes) for v in cls}
+        for u in range(n):
+            for v in range(u + 1, n):
+                twins = g.rows[u] & ~(1 << v) == g.rows[v] & ~(1 << u)
+                assert twins == (label[u] == label[v])
+        for cls in classes:
+            assert list(cls) == sorted(cls)
+            assert _open_twins(g, cls) or _closed_twins(g, cls)
+            for other in classes:
+                mask = sum(1 << v for v in other)
+                assert len({(g.rows[v] & mask).bit_count() for v in cls}) == 1  # equitable

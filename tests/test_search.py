@@ -265,3 +265,10 @@ def test_spex_threads_env_bounds_workers(monkeypatch):
     monkeypatch.setenv("SPEX_THREADS", "2")
     r = spex_search(6, 2)  # resolves workers from the environment
     assert r.best_value == pytest.approx(4.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
+def test_bad_spex_threads_is_a_parameter_error(monkeypatch, value):
+    monkeypatch.setenv("SPEX_THREADS", value)
+    with pytest.raises(ParameterError, match="SPEX_THREADS"):
+        spex_search(6, 2)

@@ -11,12 +11,15 @@ from spexlab.graphs import (
     clique,
     complete_bipartite,
     complete_split,
+    construct,
     cycle,
     disjoint_union,
     from_edges,
     path_graph,
 )
+from spexlab.search import enumerate_graphs
 from spexlab.spectral import (
+    DENSE_LIMIT,
     audit_extremal_lemmas,
     classify_vertices,
     constants_with,
@@ -160,9 +163,95 @@ def test_empty_graph():
 
 def test_convergence_error_carries_estimate():
     with pytest.raises(ConvergenceError) as err:
-        spectral_radius(path_graph(9), max_iterations=2)
+        spectral_radius(path_graph(DENSE_LIMIT + 1), max_iterations=2)
     assert err.value.best is not None
     assert err.value.best.radius > 0
+
+
+def test_split_graphs_match_closed_form_up_to_2000():
+    for k in range(2, 6):
+        for n in (2 * k + 2, 97, 500, 2000):
+            got = spectral_radius(complete_split(n, k)).radius
+            assert abs(got - split_radius_closed_form(n, k)) <= 1e-9
+
+
+def test_complete_bipartite_is_sqrt_ab():
+    for a, b in ((1, 3), (2, 8), (3, 7), (5, 400), (40, 60)):
+        assert spectral_radius(complete_bipartite(a, b)).radius == pytest.approx(
+            math.sqrt(a * b), abs=1e-9)
+
+
+@pytest.mark.parametrize("family", ["S_plus", "K_plus", "K_path", "K_matching"])
+def test_augmented_hosts_match_dense_eigensolver(family):
+    for first in (2, 3, 5):
+        params = {"n": 60, "k": first} if family == "S_plus" else {"a": first, "b": 60}
+        g = construct(family, **params)
+        p = spectral_radius(g)
+        assert p.residual <= 1e-12
+        assert p.radius == pytest.approx(eig_radius(g), abs=1e-9)
+
+
+def _twin_heavy_hosts():
+    return [complete_split(1000, 2), complete_split(301, 5), complete_bipartite(40, 60),
+            construct("S_plus", n=400, k=2), construct("K_path", a=3, b=60),
+            construct("K_matching", a=2, b=400)]
+
+
+def _small_classes():
+    for n in range(1, 8):
+        yield from enumerate_graphs(n)
+    yield cycle(9)
+
+
+def test_twins_get_bitwise_equal_weights():
+    for g in _twin_heavy_hosts():
+        p = spectral_radius(g)
+        for cls in g.twin_classes():
+            assert len({p.vector[v] for v in cls}) == 1
+
+
+def test_dense_start_passes_the_check_in_one_step():
+    # the lifted quotient Perron vector is accepted by the first residual
+    # measurement on the full graph; from all ones most of these need many
+    # steps and would raise ConvergenceError here
+    for g in _twin_heavy_hosts() + list(_small_classes()) + [path_graph(DENSE_LIMIT)]:
+        assert spectral_radius(g, max_iterations=1).residual <= 1e-12
+
+
+def test_every_small_class_matches_dense_eigensolver():
+    for g in _small_classes():
+        p = spectral_radius(g)
+        assert p.residual <= 1e-12
+        assert p.radius == pytest.approx(eig_radius(g), abs=1e-9)
+        assert max(p.vector) == 1.0
+        # tied maxima are snapped to 1, so z is the smallest tied vertex
+        assert p.z == min(v for v in range(g.n) if p.vector[v] >= 1 - 1e-9)
+
+
+def _near_tie(m, length):
+    # clique on 0..m-1 with pendant paths of `length` at 0 and `length` + 1
+    # at 1: vertex 1 has the largest Perron weight, ahead of vertex 0 by a
+    # gap that shrinks geometrically with the path length
+    edges = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    n = m
+    for root, extra in ((0, 0), (1, 1)):
+        prev = root
+        for _ in range(length + extra):
+            edges.append((prev, n))
+            prev, n = n, n + 1
+    return from_edges(n, edges)
+
+
+@pytest.mark.parametrize("m,length,tol", [(6, 8, 1e-12), (6, 9, 1e-14), (5, 10, 1e-14)])
+def test_near_tied_maxima_are_not_snapped_past_the_tolerance(m, length, tol):
+    # gaps 3.3e-13, 1.5e-14 and 9.2e-14: below 1e-12, but snapping vertex 0
+    # up to 1 would move its residual by about radius * gap > tol
+    g = _near_tie(m, length)
+    p = spectral_radius(g, tol=tol)
+    assert p.residual <= tol
+    assert p.radius == pytest.approx(eig_radius(g), abs=1e-9)
+    assert p.z == 1
+    assert 0 < 1 - p.vector[0] < 1e-12
 
 
 def test_tolerance_validation():
