@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -29,6 +28,7 @@ from .errors import (
     UsageError,
 )
 from .graphs import Graph, construct, family_parameters
+from .schemas import _round_floats, dump_json
 from .search import MAX_N, ex_search, spex_search, enumerate_graphs, threads_from_env
 from .spectral import (
     audit_extremal_lemmas,
@@ -54,21 +54,6 @@ def fmt_num(x) -> str:
     if isinstance(x, int):
         return str(x)
     return f"{x:.12g}"
-
-
-def _round_floats(obj):
-    if isinstance(obj, float):
-        return float(f"{obj:.12g}") if math.isfinite(obj) else obj
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
-
-
-def dump_json(obj) -> str:
-    """Deterministic JSON: sorted keys, floats at 12 significant digits."""
-    return json.dumps(_round_floats(obj), sort_keys=True, indent=2) + "\n"
 
 
 @dataclass

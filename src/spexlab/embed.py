@@ -185,6 +185,23 @@ def _leaves(tree: Tree, within) -> list[int]:
     return [v for v in sorted(within) if tree.graph.degree(v) == 1]
 
 
+def _one_leaf(tree: Tree, leaf: int, leaf_side, other_side, a: int) -> Embedding:
+    """One-leaf surgery: the leaf's edge lands on the added host edge (a, a+1).
+
+    The leaf's side less the leaf takes slots 0..a-1, its anchor slot a, the
+    leaf slot a+1, and the rest of the other side slots a+2 onwards.
+    """
+    (anchor,) = tree.graph.neighbors(leaf)
+    mapping = [0] * tree.graph.n
+    for slot, v in enumerate(sorted(set(leaf_side) - {leaf})):
+        mapping[v] = slot
+    mapping[anchor] = a
+    mapping[leaf] = a + 1
+    for slot, v in enumerate(sorted(set(other_side) - {anchor}), start=a + 2):
+        mapping[v] = slot
+    return Embedding(tuple(mapping))
+
+
 def _place(tree: Tree, target: str, a: int, b: int) -> tuple[Embedding, str]:
     pa, pb = tree.part_a, tree.part_b
     t = tree.graph.n
@@ -197,32 +214,14 @@ def _place(tree: Tree, target: str, a: int, b: int) -> tuple[Embedding, str]:
         # both parts have a+1 vertices: drop the lowest leaf, embed the rest
         # into K(a, a+1), and reattach the leaf along the added edge
         leaf = min(_leaves(tree, range(t)))
-        (anchor,) = tree.graph.neighbors(leaf)
-        leaf_side = pa if leaf in pa else pb
-        other_side = pb if leaf in pa else pa
-        mapping = [0] * t
-        for slot, v in enumerate(sorted(set(leaf_side) - {leaf})):
-            mapping[v] = slot
-        mapping[anchor] = a
-        mapping[leaf] = a + 1
-        for slot, v in enumerate(sorted(set(other_side) - {anchor}), start=a + 2):
-            mapping[v] = slot
-        return Embedding(tuple(mapping)), "leaf"
+        leaf_side, other_side = (pa, pb) if leaf in pa else (pb, pa)
+        return _one_leaf(tree, leaf, leaf_side, other_side, a), "leaf"
 
     # K_path or K_matching with parts (a+1, a+2)
     small_leaves = _leaves(tree, pa)
     if small_leaves:
         # same one-leaf surgery; both hosts contain the edge (a, a+1)
-        leaf = min(small_leaves)
-        (anchor,) = tree.graph.neighbors(leaf)
-        mapping = [0] * t
-        for slot, v in enumerate(sorted(set(pa) - {leaf})):
-            mapping[v] = slot
-        mapping[anchor] = a
-        mapping[leaf] = a + 1
-        for slot, v in enumerate(sorted(set(pb) - {anchor}), start=a + 2):
-            mapping[v] = slot
-        return Embedding(tuple(mapping)), "leaf"
+        return _one_leaf(tree, min(small_leaves), pa, pb, a), "leaf"
 
     if target == "K_path":
         # no leaf in the small part forces every small-part degree to be 2;

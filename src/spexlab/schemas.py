@@ -1,8 +1,31 @@
-"""JSON Schemas for every CLI subcommand output, plus the validation step."""
+"""JSON output: the deterministic dump every report uses, and the JSON
+Schemas for every CLI subcommand output with the validation step.
+
+This module imports nothing from the package, so any layer may use
+``dump_json``. jsonschema is imported only by ``validate_output``, so the
+CLI, which never validates, does not pay for loading it.
+"""
 
 from __future__ import annotations
 
-import jsonschema
+import json
+import math
+
+
+def _round_floats(obj):
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}") if math.isfinite(obj) else obj
+    if isinstance(obj, dict):
+        return {k: _round_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_round_floats(v) for v in obj]
+    return obj
+
+
+def dump_json(obj) -> str:
+    """Deterministic JSON: sorted keys, floats at 12 significant digits."""
+    return json.dumps(_round_floats(obj), sort_keys=True, indent=2) + "\n"
+
 
 _GRAPH6 = {"type": "string", "minLength": 1}
 _NUM_OR_NULL = {"type": ["number", "null"]}
@@ -163,4 +186,6 @@ SCHEMAS: dict[str, dict] = {
 
 def validate_output(subcommand: str, payload) -> None:
     """Raise jsonschema.ValidationError if the payload violates its schema."""
+    import jsonschema
+
     jsonschema.validate(payload, SCHEMAS[subcommand])

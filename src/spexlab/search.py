@@ -35,6 +35,7 @@ from .canon import canonical_g6, is_canonically_labeled
 from .embed import contains_tree, family_membership
 from .errors import ParameterError
 from .graphs import Graph, _from_rows, complete_split, complete_split_plus
+from .schemas import dump_json
 from .spectral import (
     audit_extremal_lemmas,
     default_constants,
@@ -119,8 +120,6 @@ class SearchReport:
         }
 
     def to_json(self) -> str:
-        from .cli import dump_json
-
         return dump_json(self.to_dict())
 
     def csv_row(self) -> str:

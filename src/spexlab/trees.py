@@ -4,10 +4,16 @@ Rooted trees on t vertices correspond to canonical level sequences
 (root at level 1, children subtrees emitted in non-increasing order), and
 the classic successor rule walks all of them in decreasing lexicographic
 order starting from the path. A free tree is kept exactly when its sequence
-is the canonical rooting at a centroid, i.e. equals the largest canonical
-sequence over the centroid set; every isomorphism class survives exactly
-once. Families are therefore emitted in decreasing lexicographic order of
-their canonical level sequences, path first, star last.
+is the largest canonical rooting over its centroids, so every isomorphism
+class survives exactly once. The test reads the sizes of the root's
+branches off the sequence in O(t). If a branch has more than t/2
+vertices, the root is no centroid and the sequence is dropped; if every
+branch has fewer, the root is the unique centroid, where the sequence is
+already canonical, and it is kept. Only a bicentroidal tree, with a branch
+of exactly t/2 vertices, is re-rooted at the head of that branch and
+compared. Families are therefore emitted in decreasing lexicographic order
+of their canonical level sequences, path first, star last; a kept tree's
+bipartition is read off its level parities.
 """
 
 from __future__ import annotations
@@ -69,10 +75,14 @@ class TreeFamily:
 
 def _successor(seq: list[int]) -> list[int] | None:
     """Next canonical rooted level sequence in decreasing lex order."""
-    p = max((i for i, lvl in enumerate(seq) if lvl > 2), default=None)
-    if p is None:
+    p = len(seq) - 1
+    while p >= 0 and seq[p] <= 2:
+        p -= 1
+    if p < 0:
         return None
-    q = max(i for i in range(p) if seq[i] == seq[p] - 1)
+    q = p - 1
+    while seq[q] != seq[p] - 1:
+        q -= 1
     block = seq[q:p]
     out = seq[:p]
     while len(out) < len(seq):
@@ -87,6 +97,39 @@ def _rooted_sequences(t: int):
         seq = _successor(seq)
 
 
+def _largest_branch(seq: list[int]) -> tuple[int, int]:
+    """(size, start) of the root's largest branch, seq[start:start + size].
+
+    A branch of the root is a run that starts at an entry equal to 2. A
+    single vertex has no branch and reads (0, 1).
+    """
+    size, start, end = 0, 1, len(seq)
+    for i in range(end - 1, 0, -1):
+        if seq[i] == 2:
+            if end - i >= size:
+                size, start = end - i, i
+            end = i
+    return size, start
+
+
+def _rooted_at_head(seq: list[int], start: int, end: int) -> list[int]:
+    """Canonical level sequence of the same tree rooted at vertex start.
+
+    That vertex heads the root branch seq[start:end]. Its own branches move
+    one level up; the old root, with its other branches one level down,
+    becomes one more branch; the branches are then sorted again.
+    """
+    branches = [[2] + [lvl + 1 for lvl in seq[1:start] + seq[end:]]]
+    heads = [i for i in range(start + 1, end) if seq[i] == 3] + [end]
+    for lo, hi in zip(heads, heads[1:]):
+        branches.append([lvl - 1 for lvl in seq[lo:hi]])
+    branches.sort(reverse=True)
+    out = [1]
+    for b in branches:
+        out += b
+    return out
+
+
 def _edges_from_sequence(seq: list[int]) -> list[tuple[int, int]]:
     last_at_level = {seq[0]: 0}
     edges = []
@@ -95,14 +138,6 @@ def _edges_from_sequence(seq: list[int]) -> list[tuple[int, int]]:
         edges.append((last_at_level[lvl - 1], v))
         last_at_level[lvl] = v
     return edges
-
-
-def _adjacency(t: int, edges: list[tuple[int, int]]) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(t)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
 
 
 def _centroids(adj: list[list[int]]) -> list[int]:
@@ -130,17 +165,10 @@ def _centroids(adj: list[list[int]]) -> list[int]:
     return best
 
 
-def _canonical_rooted(adj: list[list[int]], root: int) -> tuple[int, ...]:
-    def sub(v: int, parent: int, depth: int) -> tuple[int, ...]:
-        branches = sorted(
-            (sub(u, v, depth + 1) for u in adj[v] if u != parent), reverse=True
-        )
-        out = (depth,)
-        for b in branches:
-            out += b
-        return out
-
-    return sub(root, -1, 1)
+def _sides(color: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    even = tuple(v for v, c in enumerate(color) if c == 0)
+    odd = tuple(v for v, c in enumerate(color) if c == 1)
+    return (even, odd) if len(even) <= len(odd) else (odd, even)
 
 
 def _bipartition_parts(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -152,15 +180,13 @@ def _bipartition_parts(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
             if color[u] < 0:
                 color[u] = color[v] ^ 1
                 queue.append(u)
-    even = tuple(v for v in range(g.n) if color[v] == 0)
-    odd = tuple(v for v in range(g.n) if color[v] == 1)
-    return (even, odd) if len(even) <= len(odd) else (odd, even)
+    return _sides(color)
 
 
-def _make_tree(t: int, edges: list[tuple[int, int]]) -> Tree:
-    g = from_edges(t, edges) if t > 1 else from_edges(1, [])
-    part_a, part_b = _bipartition_parts(g)
-    return Tree(g, part_a, part_b)
+def _tree_from_sequence(seq: list[int]) -> Tree:
+    # BFS from the root colours each vertex by the parity of its level
+    part_a, part_b = _sides([(lvl - 1) & 1 for lvl in seq])
+    return Tree(from_edges(len(seq), _edges_from_sequence(seq)), part_a, part_b)
 
 
 @lru_cache(maxsize=None)
@@ -170,12 +196,12 @@ def generate_trees(t: int) -> TreeFamily:
         raise ParameterError(f"tree order must satisfy 1 <= t <= {MAX_VERTICES}, got t={t}")
     trees = []
     for seq in _rooted_sequences(t):
-        edges = _edges_from_sequence(seq)
-        adj = _adjacency(t, edges)
-        cents = _centroids(adj)
-        best = max(_canonical_rooted(adj, c) for c in cents)
-        if tuple(seq) == best:
-            trees.append(_make_tree(t, edges))
+        size, start = _largest_branch(seq)
+        if 2 * size > t:
+            continue  # the root is not a centroid
+        if 2 * size == t and seq < _rooted_at_head(seq, start, start + size):
+            continue  # the other centroid roots a larger canonical sequence
+        trees.append(_tree_from_sequence(seq))
     return TreeFamily(t, tuple(trees))
 
 
