@@ -27,7 +27,7 @@ from .errors import (
     SpexlabError,
     UsageError,
 )
-from .graphs import Graph, construct, family_parameters
+from .graphs import FAMILIES, Graph, construct, family_parameters
 from .schemas import _round_floats, dump_json
 from .search import MAX_N, ex_search, spex_search, enumerate_graphs, threads_from_env
 from .spectral import (
@@ -81,7 +81,7 @@ def _build_parser() -> _Parser:
 
     def graph_args(p, with_k=True, with_t=True):
         p.add_argument("--graph", help="graph6 text, a file of graph6, or - for stdin")
-        p.add_argument("--family", choices=("S", "S_plus", "K", "K_plus", "K_path", "K_matching", "path", "clique", "cycle"))
+        p.add_argument("--family", choices=tuple(FAMILIES))
         p.add_argument("--n", type=int)
         if with_k:
             p.add_argument("--k", type=int)

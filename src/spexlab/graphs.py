@@ -35,6 +35,7 @@ __all__ = [
     "cycle",
     "join",
     "disjoint_union",
+    "FAMILIES",
     "construct",
     "shells",
 ]
@@ -284,36 +285,25 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
     return _from_rows(g.n + h.n, rows)
 
 
-_FAMILY_PARAMS = {
-    "S": ("n", "k"),
-    "S_plus": ("n", "k"),
-    "K": ("a", "b"),
-    "K_plus": ("a", "b"),
-    "K_path": ("a", "b"),
-    "K_matching": ("a", "b"),
-    "path": ("t",),
-    "clique": ("t",),
-    "cycle": ("t",),
-}
-
-_FAMILY_BUILDERS = {
-    "S": complete_split,
-    "S_plus": complete_split_plus,
-    "K": complete_bipartite,
-    "K_plus": bipartite_plus_edge,
-    "K_path": bipartite_plus_path,
-    "K_matching": bipartite_plus_matching,
-    "path": path_graph,
-    "clique": clique,
-    "cycle": cycle,
+# construction families by name: (builder, parameter names in call order)
+FAMILIES = {
+    "S": (complete_split, ("n", "k")),
+    "S_plus": (complete_split_plus, ("n", "k")),
+    "K": (complete_bipartite, ("a", "b")),
+    "K_plus": (bipartite_plus_edge, ("a", "b")),
+    "K_path": (bipartite_plus_path, ("a", "b")),
+    "K_matching": (bipartite_plus_matching, ("a", "b")),
+    "path": (path_graph, ("t",)),
+    "clique": (clique, ("t",)),
+    "cycle": (cycle, ("t",)),
 }
 
 
 def family_parameters(family: str) -> tuple[str, ...]:
     """Parameter names a construction family takes."""
-    if family not in _FAMILY_PARAMS:
+    if family not in FAMILIES:
         raise ParameterError(f"unknown construction family {family!r}")
-    return _FAMILY_PARAMS[family]
+    return FAMILIES[family][1]
 
 
 def construct(family: str, **params: int) -> Graph:
@@ -323,9 +313,7 @@ def construct(family: str, **params: int) -> Graph:
     clique, cycle; ``params`` supplies exactly the parameters that family
     needs (n/k, a/b, or t).
     """
-    if family not in _FAMILY_PARAMS:
-        raise ParameterError(f"unknown construction family {family!r}")
-    wanted = _FAMILY_PARAMS[family]
+    wanted = family_parameters(family)
     missing = [p for p in wanted if params.get(p) is None]
     if missing:
         raise ParameterError(f"family {family} needs parameters {', '.join(wanted)}")
@@ -333,7 +321,7 @@ def construct(family: str, **params: int) -> Graph:
     if extra:
         raise ParameterError(f"family {family} does not take {', '.join(sorted(extra))}")
     args = [int(params[p]) for p in wanted]
-    return _FAMILY_BUILDERS[family](*args)
+    return FAMILIES[family][0](*args)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,11 @@ representative (``canon.is_canonically_labeled``). Deleting the last edge of
 a canonical string leaves a canonical string, so every isomorphism class
 appears exactly once, with a deterministic DFS order.
 
+One walker, ``_walk``, is the only copy of that DFS. It has three uses:
+``enumerate_graphs`` filters its stream, ``_scan`` walks one work unit with
+``_process`` deciding descent, and ``_run_search`` walks the top of the tree
+to cut the work units.
+
 Searches walk the same tree. Two exact monotone facts allow subtree pruning
 without changing results: a graph containing every tree of the target family
 only gains trees when edges are added, and the radius bounds
@@ -15,11 +20,14 @@ lambda <= sqrt(2 e(G)) and lambda^2 <= max_v sum_{u ~ v} d(u) let hopeless
 candidates skip the eigenvalue solve. Ground-truth mode disables all of it
 and visits every class.
 
-Work splitting: the enumeration tree is cut at a fixed edge depth; each
-subtree is an independent work unit and the merge (sums, max, tie filtering,
-sorted argmax) is associative and commutative, so results are identical for
-any worker count and any split depth (the split depth is echoed in the
-report parameters, the worker count is not).
+Work splitting: the parent process walks the tree down to a fixed edge
+depth, ``split_depth``, examining every class above it. Each class reached
+at that depth is not examined there; it becomes the root of one work unit,
+which a worker walks and examines whole. Depth 0 makes the whole tree one
+unit, and a depth beyond every graph's edge count cuts none. The merge
+(sums, max, tie filtering, sorted argmax) is associative and commutative, so
+results are identical for any worker count and any split depth (the split
+depth is echoed in the report parameters, the worker count is not).
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ import math
 import os
 from dataclasses import dataclass
 from multiprocessing import get_context
-from typing import Iterator
+from typing import Callable, Iterator
 
 from . import graph6
 from .canon import canonical_g6, is_canonically_labeled
@@ -42,7 +50,7 @@ from .spectral import (
     spectral_radius,
     split_radius_closed_form,
 )
-from .trees import Tree, generate_trees, tree_from_graph
+from .trees import Tree, generate_trees
 
 __all__ = ["SearchReport", "enumerate_graphs", "spex_search", "ex_search", "threads_from_env"]
 
@@ -56,6 +64,38 @@ def _pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(1, n) for i in range(j)]
 
 
+def _walk(
+    n: int,
+    visit: Callable[[Graph, int, int], bool] | None = None,
+    rows: tuple[int, ...] = (),
+    last: int = -1,
+) -> Iterator[Graph]:
+    """The orderly DFS: each canonical class below ``rows`` in pre-order.
+
+    ``rows`` and ``last`` (the position of its last edge) give the subtree
+    root, by default the empty graph. A class is yielded before any of its
+    children is tested; ``visit(g, last, depth)``, when given, then decides
+    whether to descend, with ``depth`` counted in edges from the root.
+    """
+    pairs = _pairs(n)
+    nbits = len(pairs)
+
+    def rec(rows: list[int], last: int, depth: int) -> Iterator[Graph]:
+        g = _from_rows(n, rows)
+        yield g
+        if visit is not None and not visit(g, last, depth):
+            return
+        for pos in range(last + 1, nbits):
+            i, j = pairs[pos]
+            child = list(rows)
+            child[i] |= 1 << j
+            child[j] |= 1 << i
+            if is_canonically_labeled(child, n):
+                yield from rec(child, pos, depth + 1)
+
+    yield from rec(list(rows) if rows else [0] * n, last, 0)
+
+
 def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
     """One representative per isomorphism class on n vertices, 1 <= n <= 10.
 
@@ -64,22 +104,9 @@ def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
     """
     if not 1 <= n <= MAX_N:
         raise ParameterError(f"enumeration supports 1 <= n <= {MAX_N}, got n={n}")
-    pairs = _pairs(n)
-    nbits = len(pairs)
-
-    def rec(rows: list[int], last: int) -> Iterator[Graph]:
-        g = _from_rows(n, rows)
+    for g in _walk(n):
         if not connected_only or g.is_connected():
             yield g
-        for pos in range(last + 1, nbits):
-            i, j = pairs[pos]
-            child = list(rows)
-            child[i] |= 1 << j
-            child[j] |= 1 << i
-            if is_canonically_labeled(child, n):
-                yield from rec(child, pos)
-
-    yield from rec([0] * n, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +198,7 @@ def _process(state: dict, g: Graph, cfg: dict) -> bool:
             state["cands"].append((lam, graph6.encode(g)))
         return True
     else:
-        tree = _cfg_tree(cfg)
-        if contains_tree(g, tree) is not None:
+        if contains_tree(g, cfg["tree"]) is not None:
             return not cfg["prune"]
         state["in_family"] += 1
         edges = g.edge_count
@@ -185,63 +211,13 @@ def _process(state: dict, g: Graph, cfg: dict) -> bool:
         return True
 
 
-_tree_cache: dict[str, Tree] = {}
-
-
-def _cfg_tree(cfg: dict) -> Tree:
-    g6 = cfg["tree_g6"]
-    tree = _tree_cache.get(g6)
-    if tree is None:
-        tree = tree_from_graph(graph6.decode(g6))
-        _tree_cache[g6] = tree
-    return tree
-
-
 def _scan(args) -> dict:
-    """DFS one enumeration subtree and summarize it (worker entry point)."""
-    n, rows0, last0, cfg = args
-    pairs = _pairs(n)
-    nbits = len(pairs)
+    """Walk one work unit's subtree and summarize it (worker entry point)."""
+    n, rows, last, cfg = args
     state = _fresh_state()
-
-    def rec(rows: list[int], last: int):
-        if not _process(state, _from_rows(n, rows), cfg):
-            return
-        for pos in range(last + 1, nbits):
-            i, j = pairs[pos]
-            child = list(rows)
-            child[i] |= 1 << j
-            child[j] |= 1 << i
-            if is_canonically_labeled(child, n):
-                rec(child, pos)
-
-    rec(list(rows0), last0)
+    for _ in _walk(n, lambda g, *_: _process(state, g, cfg), rows, last):
+        pass
     return state
-
-
-def _scan_split(n: int, cfg: dict, split_depth: int) -> tuple[dict, list]:
-    """Process classes above the split depth; collect subtree roots at it."""
-    pairs = _pairs(n)
-    nbits = len(pairs)
-    state = _fresh_state()
-    units = []
-
-    def rec(rows: list[int], last: int, depth: int):
-        if depth == split_depth:
-            units.append((n, tuple(rows), last, cfg))
-            return
-        if not _process(state, _from_rows(n, rows), cfg):
-            return
-        for pos in range(last + 1, nbits):
-            i, j = pairs[pos]
-            child = list(rows)
-            child[i] |= 1 << j
-            child[j] |= 1 << i
-            if is_canonically_labeled(child, n):
-                rec(child, pos, depth + 1)
-
-    rec([0] * n, -1, 0)
-    return state, units
 
 
 def threads_from_env() -> int | None:
@@ -264,12 +240,26 @@ def threads_from_env() -> int | None:
 def _resolve_workers(workers: int | None) -> int:
     if workers is None:
         workers = threads_from_env() or os.cpu_count() or 1
-    return max(1, workers)
+    return workers
 
 
 def _run_search(n: int, cfg: dict, workers: int | None, split_depth: int) -> list[dict]:
+    if workers is not None and workers < 1:
+        raise ParameterError(f"workers must be at least 1, got {workers}")
+    if split_depth < 0:
+        raise ParameterError(f"split_depth must be at least 0, got {split_depth}")
     workers = _resolve_workers(workers)
-    parent, units = _scan_split(n, cfg, split_depth)
+    parent = _fresh_state()
+    units = []
+
+    def visit(g: Graph, last: int, depth: int) -> bool:
+        if depth == split_depth:
+            units.append((n, g.rows, last, cfg))
+            return False
+        return _process(parent, g, cfg)
+
+    for _ in _walk(n, visit):
+        pass
     if workers <= 1 or len(units) <= 1:
         parts = [_scan(u) for u in units]
     else:
@@ -387,8 +377,7 @@ def ex_search(
         raise ParameterError(f"excluded tree needs at least 2 vertices, got {t}")
     if not t <= n <= MAX_N:
         raise ParameterError(f"ex search needs |T| <= n <= {MAX_N}, got |T|={t}, n={n}")
-    tree_g6 = graph6.encode(tree.graph)
-    cfg = {"kind": "ex", "tree_g6": tree_g6, "prune": bool(prune)}
+    cfg = {"kind": "ex", "tree": tree, "prune": bool(prune)}
     parts = _run_search(n, cfg, workers, split_depth)
     examined, in_family, best, argmax = _merge(parts, 0)
     lower = (t - 2) * n / 2
@@ -404,7 +393,7 @@ def ex_search(
         n=n,
         k=None,
         prime=None,
-        family_kind=f"single tree {tree_g6}",
+        family_kind=f"single tree {graph6.encode(tree.graph)}",
         candidates_examined=examined,
         in_family_count=in_family,
         best_value=best,

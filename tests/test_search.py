@@ -107,14 +107,24 @@ def test_ex_argmax_reverifies():
         assert not naive_contains(g, tree.graph)
 
 
-def test_ex_ground_truth_matches_pruned():
-    tree = tree_of(from_edges(5, [(0, 1), (1, 2), (2, 3), (2, 4)]))
-    a = ex_search(7, tree, prune=False, workers=1)
-    b = ex_search(7, tree, prune=True, workers=1)
+EX_TREE = tree_of(from_edges(5, [(0, 1), (1, 2), (2, 3), (2, 4)]))
+
+
+def _without_params(report):
+    return {k: v for k, v in report.to_dict().items() if k != "params"}
+
+
+# depth 0 makes the whole tree one unit; depth 40 exceeds every edge count
+@pytest.mark.parametrize("split_depth,workers", [(0, 1), (1, 1), (2, 1), (3, 1), (40, 1), (3, 2)])
+def test_ex_ground_truth_matches_pruned(split_depth, workers):
+    a = ex_search(7, EX_TREE, prune=False, workers=workers, split_depth=split_depth)
+    b = ex_search(7, EX_TREE, prune=True, workers=workers, split_depth=split_depth)
     assert a.candidates_examined == CLASS_COUNTS[7]
     assert a.best_value == b.best_value
     assert a.argmax == b.argmax
     assert a.in_family_count == b.in_family_count
+    base = ex_search(7, EX_TREE, prune=False, workers=1)
+    assert _without_params(a) == _without_params(base)
 
 
 def test_ex_sandwich_recorded():
@@ -272,3 +282,39 @@ def test_bad_spex_threads_is_a_parameter_error(monkeypatch, value):
     monkeypatch.setenv("SPEX_THREADS", value)
     with pytest.raises(ParameterError, match="SPEX_THREADS"):
         spex_search(6, 2)
+
+
+@pytest.mark.parametrize(
+    "search,args,kwargs,match",
+    [
+        (spex_search, (6, 2), {"workers": 0}, "workers"),
+        (spex_search, (6, 2), {"workers": -5}, "workers"),
+        (spex_search, (6, 2), {"split_depth": -1}, "split_depth"),
+        (ex_search, (6, EX_TREE), {"workers": 0}, "workers"),
+        (ex_search, (6, EX_TREE), {"split_depth": -1}, "split_depth"),
+    ],
+)
+def test_bad_workers_or_split_depth_is_a_parameter_error(search, args, kwargs, match):
+    with pytest.raises(ParameterError, match=match):
+        search(*args, **kwargs)
+
+
+def test_walker_is_lazy_and_tests_through_the_module_global(monkeypatch):
+    import spexlab.search as search
+
+    calls = [0]
+    real = search.is_canonically_labeled
+
+    def counted(rows, n):
+        calls[0] += 1
+        return real(rows, n)
+
+    monkeypatch.setattr(search, "is_canonically_labeled", counted)
+    first = next(enumerate_graphs(10))
+    assert (first.n, first.edge_count, calls[0]) == (10, 0, 0)
+    calls[0] = 0
+    assert sum(1 for _ in enumerate_graphs(7)) == CLASS_COUNTS[7]
+    assert calls[0] == 2377
+    calls[0] = 0
+    spex_search(7, 2, workers=1)
+    assert calls[0] == 1538
