@@ -1,5 +1,9 @@
 """Spectral radius, Perron data, the constants chain, and inequality audits.
 
+Matrix-free: the bit rows are unpacked once into neighbour lists, and one
+matvec, a gather with a segmented sum in the dtype of its input, serves the
+power loop, its extended-precision check and the audit's A(Ax).
+
 The start vector comes from the twin quotient. Vertices with equal open or
 equal closed neighborhoods (``Graph.twin_classes``) form an equitable
 partition, so the Perron vector is constant on each class, and the Perron
@@ -8,13 +12,11 @@ vector of the small symmetric quotient, solved densely with
 graphs collapse to two classes and the augmented bipartite hosts to at most
 four. Above DENSE_LIMIT classes the start is all ones.
 
-Whatever the start, the result is accepted only by the same check on the
-full graph: power iteration on A + I (primitive for a connected graph, so
-bipartite components cannot oscillate with period two), convergence read on
-the infinity-norm residual of A itself with its Rayleigh quotient, and an
-extended-precision residual measurement that must pass the tolerance. A
-dense start that already passes costs one step; one that does not, and the
-all-ones start, keep iterating. Both starts are deterministic.
+Whatever the start, one power loop on A + I (primitive for a connected
+graph, so bipartite components cannot oscillate with period two) returns a
+float64 vector only once its residual on A, measured in extended precision,
+is within the tolerance. A start that already passes costs one step. Both
+starts are deterministic.
 """
 
 from __future__ import annotations
@@ -87,20 +89,22 @@ def spectral_radius(
     ``start`` overrides the twin-quotient start vector (any positive
     vector); it exists so tests can confirm the result does not depend on it.
     """
-    if tol <= 0:
-        raise ParameterError(f"tolerance must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ParameterError(f"tolerance must be finite and positive, got {tol}")
+    if max_iterations < 1:
+        raise ParameterError(f"iteration budget must be at least 1, got {max_iterations}")
     comps = g.components()
     best = None
     for comp in comps:
         sub = g.subgraph(comp) if len(comps) > 1 else g
-        adj = sub.np_adjacency()
+        nbr = _neighbours(sub)
         if start is not None:
             s = np.asarray([start[v] for v in comp], dtype=float)
             if np.any(s <= 0):
                 raise ParameterError("start vector must be strictly positive")
         else:
-            s = _twin_quotient_start(sub, adj)
-        lam, x, residual, ok = _power_with_start(adj, tol, max_iterations, s)
+            s = _twin_quotient_start(sub, nbr)
+        lam, x, residual, ok = _power(nbr, s, tol, max_iterations)
         if not ok:
             partial = _assemble(g, comp, lam, x, residual)
             raise ConvergenceError(
@@ -116,7 +120,29 @@ def spectral_radius(
     return _assemble(g, comp, lam, x, residual)
 
 
-def _twin_quotient_start(g: Graph, adj):
+def _neighbours(g: Graph):
+    """Neighbour lists of g in one np.intp array: v's run is ``index[bounds[v]:bounds[v + 1]]``.
+
+    Each distinct row is unpacked once (open twins share rows). An isolated
+    vertex gets the sentinel index n, which ``_matvec`` reads as a zero.
+    """
+    runs: dict[int, np.ndarray] = {}
+    for row in g.rows:
+        if row not in runs:
+            data = np.frombuffer(row.to_bytes((row.bit_length() + 7) // 8, "little"), np.uint8)
+            bits = np.unpackbits(data, bitorder="little")
+            runs[row] = bits.nonzero()[0] if row else np.array([g.n], dtype=np.intp)
+    lists = [runs[row] for row in g.rows]
+    return np.concatenate(lists), np.cumsum([0] + [len(run) for run in lists])
+
+
+def _matvec(nbr, x):
+    """A x in the dtype of x: a gather of x over the neighbour lists, summed per run."""
+    index, bounds = nbr
+    return np.add.reduceat(np.concatenate((x, np.zeros(1, x.dtype)))[index], bounds[:-1])
+
+
+def _twin_quotient_start(g: Graph, nbr):
     """Lifted Perron vector of the symmetric twin quotient of a connected g.
 
     Twin classes form an equitable partition, so with b[i, j] the number of
@@ -124,16 +150,19 @@ def _twin_quotient_start(g: Graph, adj):
     sqrt(b * b.T) has the same Perron root, and its Perron vector divided by
     the square roots of the class sizes, copied to every class member, is
     the Perron vector of g. Twins therefore get bitwise-equal weights.
-    None (the all-ones start) when there are more than DENSE_LIMIT classes.
+    All ones when there are more than DENSE_LIMIT classes.
     """
     ids: dict[int, int] = {}
     label = np.array([ids.setdefault(mask, len(ids)) for mask in g.twin_masks])
     q = len(ids)
     if q > DENSE_LIMIT:
-        return None
+        return np.ones(g.n)
+    index, bounds = nbr
+    label_ext = np.append(label, q)  # an isolated vertex's sentinel falls in class q
     # each class's smallest vertex stands for it
     reps = [(mask & -mask).bit_length() - 1 for mask in ids]
-    b = np.array([np.bincount(label, weights=adj[r], minlength=q) for r in reps])
+    b = np.array([np.bincount(label_ext[index[bounds[r]:bounds[r + 1]]], minlength=q + 1)[:q]
+                  for r in reps])
     _, vecs = np.linalg.eigh(np.sqrt(b * b.T))
     y = np.abs(vecs[:, -1]) / np.sqrt(np.bincount(label, minlength=q))
     return y[label]
@@ -154,64 +183,25 @@ def _snap_ties(x, width):
     return x
 
 
-def _precise_pair(adj_hi, x):
-    """Rayleigh quotient and residual of x, measured in extended precision.
+def _power(nbr, x, tol, max_iterations):
+    """Power iteration on A + I from x, each step checked in extended precision.
 
-    Float64 dot products over thousands of summands carry rounding noise of
-    order n * eps * radius, which can exceed a tight tolerance even for a
-    fully converged vector; the extended-precision evaluation reports the
-    honest residual of the vector actually returned.
+    A step snaps the ties of the float64 vector it would return and measures
+    its Rayleigh quotient and residual in long double (float64 sums carry
+    rounding noise of order n * eps * radius, which can exceed a tight
+    tolerance even for a converged vector). The first within tol is returned.
     """
-    xh = x.astype(np.longdouble)
-    yh = adj_hi @ xh
-    lam = float((xh @ yh) / (xh @ xh))
-    residual = float(np.max(np.abs(yh - lam * xh)))
-    return lam, residual
-
-
-def _power_with_start(adj, tol, max_iterations, start):
-    n = adj.shape[0]
-    x = np.ones(n) if start is None else start / start.max()
-    eps = float(np.finfo(np.float64).eps)
-    lam = 0.0
-    residual = math.inf
-    it = 0
-    # stage 1: float64 steps until the residual reading reaches the
-    # tolerance or its own noise floor (about n * eps * radius)
-    while it < max_iterations:
-        y = adj @ x
-        lam = float(x @ y) / float(x @ x)
-        residual = float(np.max(np.abs(y - lam * x)))
-        it += 1
-        if residual <= max(tol, 4.0 * n * eps * (abs(lam) + 1.0)):
-            break
-        x = y + x
-        x /= x.max()
-    adj_hi = adj.astype(np.longdouble)
-    width = min(TIE_SNAP, tol / (4 * n))
-    x = _snap_ties(x, width)
-    lam_hi, res_hi = _precise_pair(adj_hi, x)
-    if res_hi <= tol:
-        return lam_hi, x, res_hi, True
-    # stage 2: float64 stepping has hit its own noise equilibrium above the
-    # tolerance; continue the iteration in extended precision, then hand
-    # back the rounded vector once its measured residual passes
-    x_hi = x.astype(np.longdouble)
-    target = tol / 4
-    while it < max_iterations:
-        y = adj_hi @ x_hi
-        rq = float((x_hi @ y) / (x_hi @ x_hi))
-        step_res = float(np.max(np.abs(y - rq * x_hi)))
-        it += 1
-        if step_res <= target:
-            x64 = _snap_ties(np.asarray(x_hi, dtype=np.float64), width)
-            lam_hi, res_hi = _precise_pair(adj_hi, x64)
-            if res_hi <= tol:
-                return lam_hi, x64, res_hi, True
-            target /= 4
-        x_hi = y + x_hi
-        x_hi /= x_hi.max()
-    return lam, x, residual, False
+    width = min(TIE_SNAP, tol / (4 * len(x)))
+    for _ in range(max_iterations):
+        x64 = _snap_ties(np.asarray(x, dtype=np.float64), width)
+        xh = x64.astype(np.longdouble)
+        yh = _matvec(nbr, xh)
+        lam = float((xh @ yh) / (xh @ xh))
+        residual = float(np.abs(yh - lam * xh).max())
+        if residual <= tol:
+            return lam, x64, residual, True
+        x = yh + xh
+    return lam, x64, residual, False
 
 
 def _component_key(g: Graph, comp: tuple[int, ...]):
@@ -518,9 +508,9 @@ def audit_extremal_lemmas(
 
     # second-degree eigen identity, evaluated with the computed pair; drift
     # beyond 10 tol n is numeric rather than structural
-    adj = g.np_adjacency()
+    nbr = _neighbours(g)
     xv = np.asarray(x)
-    dev = float(np.max(np.abs(adj @ (adj @ xv) - lam * lam * xv)))
+    dev = float(np.max(np.abs(_matvec(nbr, _matvec(nbr, xv)) - lam * lam * xv)))
     allowance = 10 * tol * n
     add("second-degree-residual", f"max deviation = {_num(dev)}", _num(allowance), "<=",
         dev <= allowance, allowance - dev)

@@ -47,6 +47,65 @@ def all_prufer_trees(t: int):
         yield prufer_tree(t, seq)
 
 
+def prufer_certificate(t: int, seq: tuple[int, ...]) -> str:
+    """``ahu_certificate`` of the tree with Prüfer sequence seq, without a Graph.
+
+    Leaves are removed smallest first (a forward pointer finds the next one),
+    so a vertex is removed only after its whole subtree: its AHU code is
+    formed on the spot from its children's codes, which gives the tree
+    rooted at t - 1, the one vertex never removed. Walking from t - 1 down
+    heavy children reaches a centroid; re-rooting there rewrites only the
+    codes on that walk. A second centroid is the heavy child holding exactly
+    half the vertices.
+    """
+    if t <= 2:
+        return "()" if t == 1 else "(())"
+    degree = [1] * t + [1]  # a sentinel for the pointer after the last edge
+    for s in seq:
+        degree[s] += 1
+    kids = [[] for _ in range(t)]
+    code = [""] * t
+    size = [1] * t
+    heavy = [0] * t
+    ptr = leaf = degree.index(1)
+    for s in seq + (t - 1,):
+        code[leaf] = _wrap(kids[leaf])
+        kids[s].append(code[leaf])
+        size[s] += size[leaf]
+        if len(kids[s]) == 1 or size[leaf] > size[heavy[s]]:
+            heavy[s] = leaf
+        degree[s] -= 1
+        if s < ptr and degree[s] == 1:
+            leaf = s
+        else:
+            ptr = leaf = degree.index(1, ptr + 1)
+    path = [t - 1]
+    while 2 * size[heavy[path[-1]]] > t:
+        path.append(heavy[path[-1]])
+    up = []  # code of the part above the current vertex of the walk
+    for v, below in zip(path, path[1:]):
+        rest = kids[v] + up
+        rest.remove(code[below])
+        up = [_wrap(rest)]
+    c = path[-1]
+    best = _wrap(kids[c] + up)
+    if 2 * size[heavy[c]] == t:
+        rest = kids[c] + up
+        rest.remove(code[heavy[c]])
+        best = max(best, _wrap(kids[heavy[c]] + [_wrap(rest)]))
+    return best
+
+
+def _wrap(codes: list[str]) -> str:
+    return "(" + "".join(sorted(codes)) + ")"
+
+
+def all_prufer_certificates(t: int):
+    """``prufer_certificate`` of every Prüfer sequence over 0..t-1."""
+    for seq in itertools.product(range(t), repeat=max(t - 2, 0)):
+        yield prufer_certificate(t, seq)
+
+
 def all_labeled_graphs(n: int):
     pairs = [(i, j) for j in range(1, n) for i in range(j)]
     for bits in range(1 << len(pairs)):

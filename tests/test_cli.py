@@ -177,8 +177,14 @@ def test_enumerate_count_and_json():
     assert payload["count"] == 11 and len(payload["graphs"]) == 11
 
 
-def test_exit_codes():
+def test_exit_codes(capsys):
     assert main(["spex", "--n", "9", "--k", "5"]) == 2
+    # tolerances and budgets that cannot be met are refused before any step
+    for bad in (["--tol", "nan"], ["--tol", "inf"], ["--tol", "0"],
+                ["--max-iterations", "0"], ["--max-iterations", "-5"]):
+        capsys.readouterr()
+        assert main(["spectral", "--family", "S", "--n", "6", "--k", "2"] + bad) == 2
+        assert capsys.readouterr().out == ""
     assert main(["nonsense"]) == 2
     assert main([]) == 2
     assert main(["spectral", "--graph", "Bw", "--max-iterations", "3",

@@ -8,6 +8,7 @@ from oracles import eig_radius
 
 from spexlab.errors import ConvergenceError, ParameterError
 from spexlab.graphs import (
+    Graph,
     clique,
     complete_bipartite,
     complete_split,
@@ -20,6 +21,8 @@ from spexlab.graphs import (
 from spexlab.search import enumerate_graphs
 from spexlab.spectral import (
     DENSE_LIMIT,
+    _matvec,
+    _neighbours,
     audit_extremal_lemmas,
     classify_vertices,
     constants_with,
@@ -168,11 +171,15 @@ def test_convergence_error_carries_estimate():
     assert err.value.best.radius > 0
 
 
-def test_split_graphs_match_closed_form_up_to_2000():
+def test_split_graphs_match_closed_form_up_to_20000():
     for k in range(2, 6):
         for n in (2 * k + 2, 97, 500, 2000):
             got = spectral_radius(complete_split(n, k)).radius
             assert abs(got - split_radius_closed_form(n, k)) <= 1e-9
+    # matrix-free: dense float64 and long-double copies would take 9.6 GB
+    p = spectral_radius(complete_split(20000, 2))
+    assert abs(p.radius - split_radius_closed_form(20000, 2)) <= 1e-9
+    assert p.residual <= 1e-12
 
 
 def test_complete_bipartite_is_sqrt_ab():
@@ -255,10 +262,42 @@ def test_near_tied_maxima_are_not_snapped_past_the_tolerance(m, length, tol):
 
 
 def test_tolerance_validation():
-    with pytest.raises(ParameterError):
-        spectral_radius(cycle(4), tol=0.0)
+    for tol in (0.0, -1e-12, math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            spectral_radius(cycle(4), tol=tol)
+    for budget in (0, -5):
+        with pytest.raises(ParameterError):
+            spectral_radius(cycle(4), max_iterations=budget)
     with pytest.raises(ParameterError):
         spectral_radius(cycle(4), start=[1.0, -1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_matvec_matches_dense_product(dtype):
+    # every class with n <= 6, the edgeless ones and isolated vertices included
+    rng = np.random.default_rng(5)
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            adj = g.np_adjacency().astype(dtype)
+            nbr = _neighbours(g)
+            x = rng.uniform(0.1, 2.0, n).astype(dtype)
+            got = _matvec(nbr, x)
+            assert got.dtype == dtype
+            assert np.max(np.abs(got - adj @ x)) <= 1e-12
+            x = rng.integers(1, 1000, n).astype(dtype)
+            assert np.array_equal(_matvec(nbr, x), adj @ x)
+
+
+def test_no_dense_adjacency(monkeypatch):
+    def refuse(self):
+        raise AssertionError("dense adjacency built")
+
+    monkeypatch.setattr(Graph, "np_adjacency", refuse)
+    c = default_constants(2)
+    for g in (complete_split(1000, 2), disjoint_union(cycle(4), from_edges(3, []))):
+        p = spectral_radius(g)
+        assert p.residual <= 1e-12
+        assert len(audit_extremal_lemmas(g, 2, c, p).entries) == 18
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,15 @@
 import hashlib
+import itertools
 
 import pytest
 
-from oracles import ahu_certificate, all_prufer_trees
+from oracles import (
+    ahu_certificate,
+    all_prufer_certificates,
+    all_prufer_trees,
+    prufer_certificate,
+    prufer_tree,
+)
 
 from spexlab.canon import canonical_form
 from spexlab.errors import ParameterError
@@ -134,15 +141,22 @@ def test_matches_prufer_oracle(t):
     oracle = {canonical_form(g).data for g in all_prufer_trees(t)}
     generated = {canonical_form(tree.graph).data for tree in generate_trees(t)}
     assert generated == oracle
-    oracle = {ahu_certificate(g) for g in all_prufer_trees(t)}
+    oracle = set(all_prufer_certificates(t))
     generated = {ahu_certificate(tree.graph) for tree in generate_trees(t)}
     assert generated == oracle
+
+
+@pytest.mark.parametrize("t", range(3, 8))
+def test_prufer_certificate_matches_decoded_tree(t):
+    # the Graph-free decoding gives the AHU string of the decoded tree
+    for seq in itertools.product(range(t), repeat=t - 2):
+        assert prufer_certificate(t, seq) == ahu_certificate(prufer_tree(t, seq))
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("t", (8, 9))
 def test_matches_prufer_oracle_slow(t):
-    oracle = {ahu_certificate(g) for g in all_prufer_trees(t)}
+    oracle = set(all_prufer_certificates(t))
     generated = {ahu_certificate(tree.graph) for tree in generate_trees(t)}
     assert generated == oracle
 
