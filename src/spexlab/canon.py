@@ -11,8 +11,16 @@ labels (label 0 most significant). d bitwise ANDs over the placed rows give
 the largest column a free vertex can take and its tie set. A column below the
 target cuts the node; otherwise the engine branches on the tie set from the
 lowest vertex, skipping twins of an explored sibling (the swap is an
-automorphism) and vertices in its orbit under the recorded automorphisms
-fixing the prefix (complete labellings that tie the target).
+automorphism; classes from ``graphs._twin_masks``) and vertices in its orbit
+under the recorded automorphisms fixing the prefix (complete labellings that
+tie the target).
+
+The (column, tie set) chain is carried down the recursion. When the tie set
+T has at least two vertices and v in T takes label d, the rest of T still
+attains the same column over the free vertices left, so the child's pair
+follows from one AND: ((T - v) & rows[v], 2 val + 1) when that is non-empty,
+else (T - v, 2 val). Only a forced step, with a single candidate, redoes
+the d ANDs. The accept test's target columns are read straight off the rows.
 
 ``canonical_form`` completes a column above the best greedily and installs it
 as the new best. ``is_canonically_labeled``, the accept test of the orderly
@@ -26,7 +34,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import graph6
-from .graphs import Graph, _bits
+from .graphs import Graph, _bits, _twin_masks
 
 __all__ = [
     "CanonicalForm",
@@ -67,27 +75,37 @@ def _top(rows: Sequence[int], assigned: Sequence[int], d: int, free: int) -> tup
     return val, ties
 
 
+def _identity_column(row: int, d: int) -> int:
+    """Column d of the identity labelling: row's bits at 0..d-1, bit 0 first."""
+    val = 0
+    for i in range(d):
+        val = val << 1 | (row >> i) & 1
+    return val
+
+
 class _Search:
     """Branch-and-bound over labellings for the maximal column string."""
 
-    __slots__ = ("rows", "n", "test", "assigned", "best_cols", "best_assigned", "gens")
+    __slots__ = ("rows", "n", "test", "twins", "assigned", "best_cols", "best_assigned", "gens")
 
     def __init__(self, rows: Sequence[int], n: int, test: bool):
         self.rows = rows
         self.n = n
         self.test = test
+        self.twins = _twin_masks(rows)
         self.assigned = [0] * n
         self.best_assigned = tuple(range(n))
         if test:  # the identity labelling's columns are the fixed target
-            self.best_cols = [_top(rows, self.best_assigned, d, 1 << d)[0] for d in range(n)]
+            self.best_cols = [_identity_column(rows[d], d) for d in range(n)]
         else:  # below every column, so the root is completed greedily
             self.best_cols = [-1] * n
         self.gens: dict[tuple[int, ...], int] = {}  # automorphism -> fixed-point mask
 
     def run(self) -> bool:
         """Search every labelling; False iff test mode saw the identity beaten."""
+        full = (1 << self.n) - 1
         try:
-            self._descend(0, (1 << self.n) - 1)
+            self._descend(0, full, 0, full)
         except _Exceeded:
             return False
         return True
@@ -132,13 +150,12 @@ class _Search:
                     stack.append(y)
         return False
 
-    def _descend(self, d: int, free: int) -> None:
+    def _descend(self, d: int, free: int, val: int, ties: int) -> None:
+        """Branch at label d; (val, ties) is ``_top`` of the node, carried in."""
         if d == self.n:
             # a complete labelling tying the best string: an automorphism
             self._record_automorphism()
             return
-        assigned = self.assigned
-        val, ties = _top(self.rows, assigned, d, free)
         target = self.best_cols[d]
         if val < target:
             return
@@ -146,25 +163,31 @@ class _Search:
             if self.test:
                 raise _Exceeded
             self._greedy(d, val, ties, free)
-        if not ties & (ties - 1):  # one candidate, no sibling to skip
+        rows = self.rows
+        assigned = self.assigned
+        if not ties & (ties - 1):  # one candidate: the chain restarts from the placed rows
             assigned[d] = ties.bit_length() - 1
-            self._descend(d + 1, free ^ ties)
+            free ^= ties
+            val, ties = _top(rows, assigned, d + 1, free)
+            self._descend(d + 1, free, val, ties)
             return
         prefix = ((1 << self.n) - 1) ^ free
+        twins = self.twins
         explored = 0
-        # explored siblings' rows and closed rows: without loops the two never coincide
-        seen: set[int] = set()
         for v in _bits(ties):
-            row = self.rows[v]
-            closed = row | (1 << v)
-            if row in seen or closed in seen:
+            if twins[v] & explored:
                 continue  # a twin of an explored sibling
             if explored and self._orbit_hit(v, explored, prefix):
                 continue
             explored |= 1 << v
-            seen.update((row, closed))
             assigned[d] = v
-            self._descend(d + 1, free ^ (1 << v))
+            # the other ties still attain val, so one AND extends the chain
+            rest = ties ^ (1 << v)
+            hit = rest & rows[v]
+            if hit:
+                self._descend(d + 1, free ^ (1 << v), val << 1 | 1, hit)
+            else:
+                self._descend(d + 1, free ^ (1 << v), val << 1, rest)
 
 
 def is_canonically_labeled(rows: Sequence[int], n: int) -> bool:

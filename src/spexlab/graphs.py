@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -128,16 +128,7 @@ class Graph:
     @cached_property
     def twin_masks(self) -> tuple[int, ...]:
         """Bitmask of each vertex's twin class (see ``twin_classes``)."""
-        by_open: dict[int, int] = {}
-        by_closed: dict[int, int] = {}
-        for v, row in enumerate(self.rows):
-            by_open[row] = by_open.get(row, 0) | 1 << v
-            closed = row | 1 << v
-            by_closed[closed] = by_closed.get(closed, 0) | 1 << v
-        return tuple(
-            by_open[row] if by_open[row] != 1 << v else by_closed[row | 1 << v]
-            for v, row in enumerate(self.rows)
-        )
+        return _twin_masks(self.rows)
 
     def twin_classes(self) -> tuple[tuple[int, ...], ...]:
         """Classes of vertices with equal open or equal closed neighborhoods.
@@ -167,6 +158,35 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _twin_masks(rows: Sequence[int]) -> tuple[int, ...]:
+    """Bitmask of each vertex's twin class, for the graph with these rows.
+
+    Open twins share a row; closed twins share the closed row ``row | 1 << v``.
+    No vertex has twins of both kinds, so closed rows are formed only for
+    vertices alone in their open class. That keeps the cost linear in the
+    row sizes where a large class shares one row (an independent part), whose
+    members' closed rows would be distinct and up to n bits each.
+    """
+    by_open: dict[int, list[int]] = {}
+    for v, row in enumerate(rows):
+        by_open.setdefault(row, []).append(v)
+    classes = [members for members in by_open.values() if len(members) > 1]
+    by_closed: dict[int, list[int]] = {}
+    for row, members in by_open.items():
+        if len(members) == 1:
+            v = members[0]
+            by_closed.setdefault(row | 1 << v, []).append(v)
+    classes += by_closed.values()
+    masks = [0] * len(rows)
+    for members in classes:
+        mask = 0
+        for v in members:
+            mask |= 1 << v
+        for v in members:
+            masks[v] = mask
+    return tuple(masks)
 
 
 def _lowest_bit(mask: int) -> int:

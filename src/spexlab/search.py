@@ -8,6 +8,17 @@ representative (``canon.is_canonically_labeled``). Deleting the last edge of
 a canonical string leaves a canonical string, so every isomorphism class
 appears exactly once, with a deterministic DFS order.
 
+Children that cannot pass the accept test are skipped before it runs, by
+this lemma (Read 1978; McKay 1998): if g + e is canonical, then e is the
+least non-edge position in its Aut(g) orbit. Proof: take s in Aut(g) with
+s(e) = e'. Then g + e' is a relabelling of g + e, and the two strings differ
+only at e and e'. If e' came earlier, g + e' would be lexicographically
+larger, which contradicts canonicity. Permuting a twin class (vertices with
+equal open, or equal closed, neighbourhoods; ``Graph.twin_masks``) is an
+automorphism, so a pair (i, j) is skipped when some earlier pair (a, b) has
+a != b, a a twin of i and b a twin of j. The skipped children would all be
+rejected; the stream and every report are unchanged.
+
 One walker, ``_walk``, is the only copy of that DFS. It has three uses:
 ``enumerate_graphs`` filters its stream, ``_scan`` walks one work unit with
 ``_process`` deciding descent, and ``_run_search`` walks the top of the tree
@@ -19,6 +30,14 @@ only gains trees when edges are added, and the radius bounds
 lambda <= sqrt(2 e(G)) and lambda^2 <= max_v sum_{u ~ v} d(u) let hopeless
 candidates skip the eigenvalue solve. Ground-truth mode disables all of it
 and visits every class.
+
+Tree containment is hereditary the same way: a child adds one edge to its
+parent, so every embedding into the parent is one into the child, and the
+child misses a subset of the trees its parent misses. ``_process`` returns
+the indices of the family trees a class misses, the walker carries them to
+its children, and a child tests only those, in family order. The root of a
+walk, which is also the root of each work unit, tests the whole family. The
+missing sets are exact with pruning on or off.
 
 Work splitting: the parent process walks the tree down to a fixed edge
 depth, ``split_depth``, examining every class above it. Each class reached
@@ -40,7 +59,9 @@ from typing import Callable, Iterator
 
 from . import graph6
 from .canon import canonical_g6, is_canonically_labeled
-from .embed import contains_tree, family_membership
+# family_membership is not called here, but perfbench/layers.py wraps
+# search.family_membership by name, so the binding stays
+from .embed import contains_tree, family_membership  # noqa: F401
 from .errors import ParameterError
 from .graphs import Graph, _from_rows, complete_split, complete_split_plus
 from .schemas import dump_json
@@ -66,7 +87,7 @@ def _pairs(n: int) -> list[tuple[int, int]]:
 
 def _walk(
     n: int,
-    visit: Callable[[Graph, int, int], bool] | None = None,
+    visit: Callable[[Graph, int, int, object], object] | None = None,
     rows: tuple[int, ...] = (),
     last: int = -1,
 ) -> Iterator[Graph]:
@@ -74,26 +95,44 @@ def _walk(
 
     ``rows`` and ``last`` (the position of its last edge) give the subtree
     root, by default the empty graph. A class is yielded before any of its
-    children is tested; ``visit(g, last, depth)``, when given, then decides
-    whether to descend, with ``depth`` counted in edges from the root.
+    children is tested; ``visit(g, last, depth, carried)``, when given, then
+    decides whether to descend, with ``depth`` counted in edges from the
+    root. ``carried`` is what the parent's visit returned (None at the root);
+    a return of None or False stops the descent, anything else is carried to
+    the children.
     """
     pairs = _pairs(n)
     nbits = len(pairs)
 
-    def rec(rows: list[int], last: int, depth: int) -> Iterator[Graph]:
+    def rec(rows: list[int], last: int, depth: int, carried: object) -> Iterator[Graph]:
         g = _from_rows(n, rows)
         yield g
-        if visit is not None and not visit(g, last, depth):
-            return
+        if visit is not None:
+            carried = visit(g, last, depth, carried)
+            if carried is None or carried is False:
+                return
+        twins = g.twin_masks
         for pos in range(last + 1, nbits):
             i, j = pairs[pos]
+            if _twin_swap_earlier(twins, i, j):
+                continue
             child = list(rows)
             child[i] |= 1 << j
             child[j] |= 1 << i
             if is_canonically_labeled(child, n):
-                yield from rec(child, pos, depth + 1)
+                yield from rec(child, pos, depth + 1, carried)
 
-    yield from rec(list(rows) if rows else [0] * n, last, 0)
+    yield from rec(list(rows) if rows else [0] * n, last, 0, None)
+
+
+def _twin_swap_earlier(twins: tuple[int, ...], i: int, j: int) -> bool:
+    """Does swapping twins map the non-edge (i, j), i < j, to an earlier position?
+
+    The earliest image of (i, j) is (a, b) for the least twin a of i and the
+    least twin b != a of j, so (i, j) is the earliest exactly when no twin of
+    i lies below i and no twin of j other than i lies below j.
+    """
+    return bool(twins[i] & ((1 << i) - 1) or twins[j] & ((1 << j) - 1) & ~(1 << i))
 
 
 def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
@@ -175,31 +214,36 @@ def _fresh_state() -> dict:
     return {"examined": 0, "in_family": 0, "best": None, "cands": []}
 
 
-def _process(state: dict, g: Graph, cfg: dict) -> bool:
-    """Examine one class; return whether its subtree should be explored."""
+def _process(
+    state: dict, g: Graph, cfg: dict, parent_missing: tuple[int, ...] | None
+) -> tuple[int, ...] | None:
+    """Examine one class; return the indices of the trees it misses.
+
+    Only the trees in ``parent_missing`` are tested, or all of them at a walk
+    root (None). The return value is carried to the children; None, when
+    pruning, cuts a subtree that contains every tree.
+    """
     state["examined"] += 1
+    trees = generate_trees(cfg["family_t"]).trees if cfg["kind"] == "spex" else (cfg["tree"],)
+    tested = range(len(trees)) if parent_missing is None else parent_missing
+    missing = tuple(i for i in tested if contains_tree(g, trees[i]) is None)
+    if not missing:
+        return None if cfg["prune"] else missing
     if cfg["kind"] == "spex":
-        family = generate_trees(cfg["family_t"])
-        member = family_membership(g, family)
-        if not member.in_family:
-            return not cfg["prune"]
         if cfg["connected_only"] and not g.is_connected():
-            return True
+            return missing
         state["in_family"] += 1
         best = state["best"]
         threshold = cfg["seed"] if best is None else max(best, cfg["seed"])
         if cfg["prune"] and _radius_upper_bound(g) < threshold - BOUND_SLACK:
-            return True
+            return missing
         lam = spectral_radius(g, tol=cfg["tol"]).radius
         if best is None or lam > best:
             state["best"] = lam
             state["cands"] = [c for c in state["cands"] if c[0] >= lam - TIE_TOL]
         if lam >= state["best"] - TIE_TOL:
             state["cands"].append((lam, graph6.encode(g)))
-        return True
     else:
-        if contains_tree(g, cfg["tree"]) is not None:
-            return not cfg["prune"]
         state["in_family"] += 1
         edges = g.edge_count
         best = state["best"]
@@ -208,14 +252,17 @@ def _process(state: dict, g: Graph, cfg: dict) -> bool:
             state["cands"] = [c for c in state["cands"] if c[0] >= edges]
         if edges >= state["best"]:
             state["cands"].append((edges, graph6.encode(g)))
-        return True
+    return missing
 
 
 def _scan(args) -> dict:
     """Walk one work unit's subtree and summarize it (worker entry point)."""
     n, rows, last, cfg = args
     state = _fresh_state()
-    for _ in _walk(n, lambda g, *_: _process(state, g, cfg), rows, last):
+    def visit(g: Graph, last: int, depth: int, carried):
+        return _process(state, g, cfg, carried)
+
+    for _ in _walk(n, visit, rows, last):
         pass
     return state
 
@@ -252,11 +299,11 @@ def _run_search(n: int, cfg: dict, workers: int | None, split_depth: int) -> lis
     parent = _fresh_state()
     units = []
 
-    def visit(g: Graph, last: int, depth: int) -> bool:
+    def visit(g: Graph, last: int, depth: int, carried):
         if depth == split_depth:
             units.append((n, g.rows, last, cfg))
-            return False
-        return _process(parent, g, cfg)
+            return None
+        return _process(parent, g, cfg, carried)
 
     for _ in _walk(n, visit):
         pass

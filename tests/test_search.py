@@ -4,7 +4,8 @@ import pytest
 
 from oracles import all_labeled_graphs, eig_radius, naive_contains
 
-from spexlab.canon import canonical_form, canonical_g6
+from spexlab import search
+from spexlab.canon import canonical_form, canonical_g6, is_canonically_labeled
 from spexlab.errors import ParameterError
 from spexlab.graph6 import decode, encode
 from spexlab.graphs import complete_split, from_edges, path_graph
@@ -13,8 +14,8 @@ from spexlab.spectral import split_radius_closed_form
 from spexlab.trees import generate_trees, tree_from_graph
 
 # isomorphism classes of simple graphs (all / connected) by vertex count
-CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
-CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
+CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346, 9: 274668}
+CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117, 9: 261080}
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -38,6 +39,16 @@ def test_stream_8_pinned(graphs_on_8):
     )
 
 
+@pytest.mark.slow
+def test_class_counts_9():
+    # the exhaustive n = 9 gate (A000088, A001349), in one walk
+    total = connected = 0
+    for g in enumerate_graphs(9):
+        total += 1
+        connected += g.is_connected()
+    assert (total, connected) == (CLASS_COUNTS[9], CONNECTED_COUNTS[9])
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_connected_counts(n):
     assert sum(1 for _ in enumerate_graphs(n, connected_only=True)) == CONNECTED_COUNTS[n]
@@ -55,6 +66,25 @@ def test_against_labeled_dedup_oracle(n):
 def test_against_labeled_dedup_oracle_6():
     oracle = {canonical_form(g).data for g in all_labeled_graphs(6)}
     assert {canonical_form(g).data for g in enumerate_graphs(6)} == oracle
+
+
+def _last_position(g):
+    return max((j * (j - 1) // 2 + i for i, j in g.edges()), default=-1)
+
+
+def test_twin_swap_skips_only_rejected_children(graphs_on_7):
+    # every child the walker skips untested fails the accept test it skips
+    skipped = 0
+    for g in [h for n in range(1, 7) for h in enumerate_graphs(n)] + graphs_on_7:
+        pairs = [(i, j) for j in range(1, g.n) for i in range(j)]
+        for i, j in pairs[_last_position(g) + 1:]:
+            if search._twin_swap_earlier(g.twin_masks, i, j):
+                skipped += 1
+                child = list(g.rows)
+                child[i] |= 1 << j
+                child[j] |= 1 << i
+                assert not is_canonically_labeled(child, g.n), (encode(g), i, j)
+    assert skipped > 0
 
 
 def test_stream_is_deterministic_and_canonically_labeled():
@@ -191,11 +221,34 @@ def test_spex_ground_truth_matches_pruned():
 
 def test_spex_reports_identical_across_workers_and_split():
     base = spex_search(7, 2, workers=1).to_json()
+    assert hashlib.sha256(base.encode()).hexdigest() == (
+        "b3cfdcf9be5d3c3baf298b73b3a77c9666421de75e9beea803894fe2233693b1"
+    )
     assert spex_search(7, 2, workers=4).to_json() == base
     a = spex_search(7, 2, workers=1, split_depth=5)
     assert a.to_dict()["argmax"] == spex_search(7, 2, workers=1).to_dict()["argmax"]
     assert a.best_value == spex_search(7, 2, workers=1).best_value
     assert a.candidates_examined == spex_search(7, 2, workers=1).candidates_examined
+
+
+@pytest.mark.parametrize("prune", [True, False])
+def test_carried_missing_sets_match_naive_containment(monkeypatch, prune):
+    fam = generate_trees(6)
+    real = search._process
+    seen = {}
+
+    def recorded(state, g, cfg, parent_missing):
+        missing = real(state, g, cfg, parent_missing)
+        seen[g.rows] = (g, missing)
+        return missing
+
+    monkeypatch.setattr(search, "_process", recorded)
+    r = spex_search(7, 2, prune=prune, workers=1)
+    assert len(seen) == r.candidates_examined
+    for g, missing in seen.values():
+        naive = tuple(i for i, t in enumerate(fam) if not naive_contains(g, t.graph))
+        # pruning returns None for a class that contains every tree
+        assert missing == (None if prune and not naive else naive)
 
 
 def test_spex_connected_only_same_best():
@@ -222,6 +275,9 @@ def test_spex_8_2_reference_among_exact_ties():
     assert r.comparison["argmax_contains_reference"]
     assert not r.comparison["argmax_is_reference"]
     assert len(r.argmax) == 15
+    assert hashlib.sha256(r.to_json().encode()).hexdigest() == (
+        "e9b6ae44a36636f85cd69d4c836020e34e15dd47892e93acaaa7e7f37e5870f6"
+    )
 
 
 @pytest.mark.slow
@@ -300,8 +356,6 @@ def test_bad_workers_or_split_depth_is_a_parameter_error(search, args, kwargs, m
 
 
 def test_walker_is_lazy_and_tests_through_the_module_global(monkeypatch):
-    import spexlab.search as search
-
     calls = [0]
     real = search.is_canonically_labeled
 
@@ -314,7 +368,7 @@ def test_walker_is_lazy_and_tests_through_the_module_global(monkeypatch):
     assert (first.n, first.edge_count, calls[0]) == (10, 0, 0)
     calls[0] = 0
     assert sum(1 for _ in enumerate_graphs(7)) == CLASS_COUNTS[7]
-    assert calls[0] == 2377
+    assert calls[0] == 1549
     calls[0] = 0
     spex_search(7, 2, workers=1)
-    assert calls[0] == 1538
+    assert calls[0] == 945
