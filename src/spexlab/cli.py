@@ -29,8 +29,12 @@ from .errors import (
 )
 from .graphs import FAMILIES, Graph, construct, family_parameters
 from .schemas import _round_floats, dump_json
-from .search import MAX_N, ex_search, spex_search, enumerate_graphs, threads_from_env
+from .search import (
+    DEFAULT_SPLIT_DEPTH, MAX_N, ex_search, spex_search, enumerate_graphs, threads_from_env,
+)
 from .spectral import (
+    DEFAULT_MAX_ITERATIONS,
+    DEFAULT_TOL,
     audit_extremal_lemmas,
     classify_vertices,
     constants_with,
@@ -41,11 +45,6 @@ from .trees import MAX_VERTICES, bipartition, generate_trees, tree_from_graph
 from .embed import constructive_with_case, contains_tree, family_membership
 
 __all__ = ["CommandPlan", "parse_and_plan", "execute", "main", "dump_json"]
-
-SUBCOMMANDS = (
-    "construct", "trees", "spectral", "classify", "contains", "membership",
-    "embed-lemma", "spex", "ex", "audit", "enumerate",
-)
 
 
 def fmt_num(x) -> str:
@@ -90,6 +89,13 @@ def _build_parser() -> _Parser:
         if with_t:
             p.add_argument("--t", type=int)
 
+    def search_args(p):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--ground-truth", action="store_true", help="disable all pruning")
+        p.add_argument("--workers", type=int, default=None)
+        p.add_argument("--split-depth", type=int, default=DEFAULT_SPLIT_DEPTH)
+        fmt_arg(p, ("json", "table", "csv", "g6"))
+
     def constants_args(p):
         p.add_argument("--eta", type=float)
         p.add_argument("--epsilon", type=float)
@@ -108,8 +114,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("spectral", description="spectral radius and Perron vector")
     graph_args(p)
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--max-iterations", type=int, default=10**6)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--max-iterations", type=int, default=DEFAULT_MAX_ITERATIONS)
     p.add_argument("--with-vector", action="store_true")
     fmt_arg(p, ("json", "table"))
 
@@ -118,7 +124,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True,
                    help="weight-class parameter; doubles as the family k for --family")
     constants_args(p)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     fmt_arg(p, ("json", "table"))
 
     p = sub.add_parser("contains", description="decide tree containment")
@@ -139,29 +145,21 @@ def _build_parser() -> _Parser:
     fmt_arg(p, ("json", "table"))
 
     p = sub.add_parser("spex", description="brute-force spectral Turan search")
-    p.add_argument("--n", type=int, required=True)
+    search_args(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--prime", action="store_true")
     p.add_argument("--connected-only", action="store_true")
-    p.add_argument("--ground-truth", action="store_true", help="disable all pruning")
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--split-depth", type=int, default=2)
-    fmt_arg(p, ("json", "table", "csv", "g6"))
 
     p = sub.add_parser("ex", description="brute-force edge Turan search")
-    p.add_argument("--n", type=int, required=True)
+    search_args(p)
     p.add_argument("--tree", required=True)
-    p.add_argument("--ground-truth", action="store_true")
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--split-depth", type=int, default=2)
-    fmt_arg(p, ("json", "table", "csv", "g6"))
 
     p = sub.add_parser("audit", description="recompute the structural inequalities")
     graph_args(p, with_k=False)
     p.add_argument("--k", type=int, required=True,
                    help="class parameter; doubles as the family k for --family")
     constants_args(p)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     fmt_arg(p, ("jsonl", "table"))
 
     p = sub.add_parser("enumerate", description="one graph per isomorphism class")
@@ -183,7 +181,7 @@ def parse_and_plan(argv: list[str]) -> CommandPlan:
     except argparse.ArgumentError as exc:
         raise UsageError(str(exc))
     if ns.command is None:
-        raise UsageError(f"a subcommand is required: one of {', '.join(SUBCOMMANDS)}")
+        raise UsageError(f"a subcommand is required: one of {', '.join(_EXECUTORS)}")
     params = {k: v for k, v in vars(ns).items() if k not in ("command", "fmt", "out_path")}
     plan = CommandPlan(ns.command, params, ns.fmt, getattr(ns, "out_path", None))
     _validate_plan(plan)
@@ -293,7 +291,7 @@ def _table(payload: dict, indent: str = "") -> str:
     return "\n".join(lines)
 
 
-def _emit(payload: dict, fmt: str, subcommand: str) -> str:
+def _emit(payload: dict, fmt: str) -> str:
     if fmt == "json":
         return dump_json(payload)
     return _table(payload) + "\n"
@@ -350,7 +348,7 @@ def _exec_spectral(plan: CommandPlan, fmt: str) -> str:
         "z": p.z,
         "vector": list(p.vector) if plan.params["with_vector"] else None,
     }
-    return _emit(payload, fmt, "spectral")
+    return _emit(payload, fmt)
 
 
 def _exec_classify(plan: CommandPlan, fmt: str) -> str:
@@ -375,7 +373,7 @@ def _exec_classify(plan: CommandPlan, fmt: str) -> str:
         "common": list(part.common),
         "exceptional": list(part.exceptional),
     }
-    return _emit(payload, fmt, "classify")
+    return _emit(payload, fmt)
 
 
 def _read_tree_arg(value: str):
@@ -390,7 +388,7 @@ def _exec_contains(plan: CommandPlan, fmt: str) -> str:
         "contained": emb is not None,
         "embedding": list(emb.mapping) if emb else None,
     }
-    return _emit(payload, fmt, "contains")
+    return _emit(payload, fmt)
 
 
 def _exec_membership(plan: CommandPlan, fmt: str) -> str:
@@ -404,7 +402,7 @@ def _exec_membership(plan: CommandPlan, fmt: str) -> str:
         "witness_index": m.witness_index,
         "witness_graph6": graph6.encode(m.witness.graph) if m.witness else None,
     }
-    return _emit(payload, fmt, "membership")
+    return _emit(payload, fmt)
 
 
 def _exec_embed_lemma(plan: CommandPlan, fmt: str) -> str:
@@ -419,17 +417,19 @@ def _exec_embed_lemma(plan: CommandPlan, fmt: str) -> str:
         "case": case,
         "embedding": list(emb.mapping),
     }
-    return _emit(payload, fmt, "embed-lemma")
+    return _emit(payload, fmt)
 
 
 def _report_text(report, fmt: str) -> str:
-    if fmt == "json":
-        return report.to_json()
     if fmt == "csv":
-        return "n,k,best_value,closed_form,isomorphic_to_reference\n" + report.csv_row() + "\n"
+        cmp = report.comparison
+        row = (report.n, report.k, report.best_value,
+               cmp.get("closed_form"), cmp.get("argmax_is_reference"))
+        return "n,k,best_value,closed_form,isomorphic_to_reference\n" + ",".join(
+            fmt_num(v) for v in row) + "\n"
     if fmt == "g6":
         return "".join(s + "\n" for s in report.argmax)
-    return _table(_round_floats(report.to_dict())) + "\n"
+    return _emit(report.to_dict(), fmt)
 
 
 def _exec_spex(plan: CommandPlan, fmt: str) -> str:

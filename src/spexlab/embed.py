@@ -14,14 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EmbeddingCaseError, ParameterError
-from .graphs import (
-    Graph,
-    _bits,
-    bipartite_plus_edge,
-    bipartite_plus_matching,
-    bipartite_plus_path,
-    complete_bipartite,
-)
+from .graphs import FAMILIES, Graph, _bits
 from .trees import Tree, TreeFamily
 
 __all__ = [
@@ -125,12 +118,7 @@ def family_membership(host: Graph, family: TreeFamily) -> FamilyMembership:
 # constructive embeddings
 
 
-_TARGETS = {
-    "K": complete_bipartite,
-    "K_plus": bipartite_plus_edge,
-    "K_path": bipartite_plus_path,
-    "K_matching": bipartite_plus_matching,
-}
+_TARGETS = ("K", "K_plus", "K_path", "K_matching")
 
 
 def embed_constructive(tree: Tree, target: str, a: int, b: int) -> Embedding:
@@ -163,7 +151,7 @@ def constructive_with_case(tree: Tree, target: str, a: int, b: int) -> tuple[Emb
             raise ParameterError(
                 f"{target} target needs b = 2a+2 and |T| = 2a+3, got a={a}, b={b}, |T|={t}"
             )
-    host = _TARGETS[target](a, b)
+    host = FAMILIES[target][0](a, b)
     emb, case = _place(tree, target, a, b)
     if not verify_embedding(host, tree.graph, emb):
         raise EmbeddingCaseError(

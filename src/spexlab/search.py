@@ -19,17 +19,24 @@ automorphism, so a pair (i, j) is skipped when some earlier pair (a, b) has
 a != b, a a twin of i and b a twin of j. The skipped children would all be
 rejected; the stream and every report are unchanged.
 
-One walker, ``_walk``, is the only copy of that DFS. It has three uses:
-``enumerate_graphs`` filters its stream, ``_scan`` walks one work unit with
-``_process`` deciding descent, and ``_run_search`` walks the top of the tree
-to cut the work units.
+One walker, ``_walk``, is the only copy of that DFS. It has two users:
+``enumerate_graphs`` filters its stream, and ``_scan`` walks a subtree with
+``_process`` deciding descent; walking from the empty graph, ``_scan`` also
+cuts the work units.
 
-Searches walk the same tree. Two exact monotone facts allow subtree pruning
-without changing results: a graph containing every tree of the target family
-only gains trees when edges are added, and the radius bounds
-lambda <= sqrt(2 e(G)) and lambda^2 <= max_v sum_{u ~ v} d(u) let hopeless
-candidates skip the eigenvalue solve. Ground-truth mode disables all of it
-and visits every class.
+``spex_search`` and ``ex_search`` are one pipeline fed two job records. A job
+names the excluded trees (the whole family for spex, the one tree for ex),
+whether to prune, whether only connected graphs count, and the objective.
+The objective is the only difference: with no radius seed it is the edge
+count (ex), otherwise the spectral radius (spex). One ledger, ``_offer``,
+keeps the best value and its ties for both.
+
+Two exact monotone facts allow subtree pruning without changing results: a
+graph containing every excluded tree only gains trees when edges are added,
+and the radius bounds lambda <= sqrt(2 e(G)) and
+lambda^2 <= max_v sum_{u ~ v} d(u) let hopeless spex candidates skip the
+eigenvalue solve. Ground-truth mode disables all of it and visits every
+class.
 
 Tree containment is hereditary the same way: a child adds one edge to its
 parent, so every embedding into the parent is one into the child, and the
@@ -53,7 +60,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from multiprocessing import get_context
 from typing import Callable, Iterator
 
@@ -63,9 +70,10 @@ from .canon import canonical_g6, is_canonically_labeled
 # search.family_membership by name, so the binding stays
 from .embed import contains_tree, family_membership  # noqa: F401
 from .errors import ParameterError
-from .graphs import Graph, _from_rows, complete_split, complete_split_plus
+from .graphs import Graph, _bits, _from_rows, complete_split, complete_split_plus
 from .schemas import dump_json
 from .spectral import (
+    DEFAULT_TOL,
     audit_extremal_lemmas,
     default_constants,
     spectral_radius,
@@ -98,8 +106,8 @@ def _walk(
     children is tested; ``visit(g, last, depth, carried)``, when given, then
     decides whether to descend, with ``depth`` counted in edges from the
     root. ``carried`` is what the parent's visit returned (None at the root);
-    a return of None or False stops the descent, anything else is carried to
-    the children.
+    a return of None stops the descent, anything else is carried to the
+    children.
     """
     pairs = _pairs(n)
     nbits = len(pairs)
@@ -109,7 +117,7 @@ def _walk(
         yield g
         if visit is not None:
             carried = visit(g, last, depth, carried)
-            if carried is None or carried is False:
+            if carried is None:
                 return
         twins = g.twin_masks
         for pos in range(last + 1, nbits):
@@ -170,31 +178,12 @@ class SearchReport:
     params: dict
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "k": self.k,
-            "prime": self.prime,
-            "family_kind": self.family_kind,
-            "candidates_examined": self.candidates_examined,
-            "in_family_count": self.in_family_count,
-            "best_value": self.best_value,
-            "argmax": list(self.argmax),
-            "comparison": self.comparison,
-            "audit": self.audit,
-            "params": self.params,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["argmax"] = list(self.argmax)
+        return d
 
     def to_json(self) -> str:
         return dump_json(self.to_dict())
-
-    def csv_row(self) -> str:
-        def fmt(x):
-            return f"{x:.12g}" if isinstance(x, float) else str(x)
-
-        closed = self.comparison.get("closed_form")
-        iso = self.comparison.get("argmax_is_reference")
-        return ",".join(fmt(v) for v in (self.n, self.k, self.best_value, closed, iso))
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +195,7 @@ def _radius_upper_bound(g: Graph) -> float:
         return 0.0
     degs = g.degrees()
     by_edges = math.sqrt(2 * g.edge_count)
-    by_neighbors = math.sqrt(max(sum(degs[u] for u in g.neighbors(v)) for v in range(g.n)))
+    by_neighbors = math.sqrt(max(sum(degs[u] for u in _bits(row)) for row in g.rows))
     return min(by_edges, by_neighbors)
 
 
@@ -214,8 +203,17 @@ def _fresh_state() -> dict:
     return {"examined": 0, "in_family": 0, "best": None, "cands": []}
 
 
+def _offer(state: dict, value: float | int, g: Graph, tie_tol: float) -> None:
+    """Record a candidate: a new best drops the ties it leaves behind."""
+    if state["best"] is None or value > state["best"]:
+        state["best"] = value
+        state["cands"] = [c for c in state["cands"] if c[0] >= value - tie_tol]
+    if value >= state["best"] - tie_tol:
+        state["cands"].append((value, graph6.encode(g)))
+
+
 def _process(
-    state: dict, g: Graph, cfg: dict, parent_missing: tuple[int, ...] | None
+    state: dict, g: Graph, job: dict, parent_missing: tuple[int, ...] | None
 ) -> tuple[int, ...] | None:
     """Examine one class; return the indices of the trees it misses.
 
@@ -224,47 +222,45 @@ def _process(
     pruning, cuts a subtree that contains every tree.
     """
     state["examined"] += 1
-    trees = generate_trees(cfg["family_t"]).trees if cfg["kind"] == "spex" else (cfg["tree"],)
+    trees = job["trees"]
     tested = range(len(trees)) if parent_missing is None else parent_missing
     missing = tuple(i for i in tested if contains_tree(g, trees[i]) is None)
     if not missing:
-        return None if cfg["prune"] else missing
-    if cfg["kind"] == "spex":
-        if cfg["connected_only"] and not g.is_connected():
-            return missing
-        state["in_family"] += 1
-        best = state["best"]
-        threshold = cfg["seed"] if best is None else max(best, cfg["seed"])
-        if cfg["prune"] and _radius_upper_bound(g) < threshold - BOUND_SLACK:
-            return missing
-        lam = spectral_radius(g, tol=cfg["tol"]).radius
-        if best is None or lam > best:
-            state["best"] = lam
-            state["cands"] = [c for c in state["cands"] if c[0] >= lam - TIE_TOL]
-        if lam >= state["best"] - TIE_TOL:
-            state["cands"].append((lam, graph6.encode(g)))
-    else:
-        state["in_family"] += 1
-        edges = g.edge_count
-        best = state["best"]
-        if best is None or edges > best:
-            state["best"] = edges
-            state["cands"] = [c for c in state["cands"] if c[0] >= edges]
-        if edges >= state["best"]:
-            state["cands"].append((edges, graph6.encode(g)))
+        return None if job["prune"] else missing
+    if job["connected_only"] and not g.is_connected():
+        return missing
+    state["in_family"] += 1
+    seed = job["seed"]
+    if seed is None:
+        _offer(state, g.edge_count, g, 0)
+        return missing
+    threshold = seed if state["best"] is None else max(state["best"], seed)
+    if job["prune"] and _radius_upper_bound(g) < threshold - BOUND_SLACK:
+        return missing
+    _offer(state, spectral_radius(g, tol=job["tol"]).radius, g, TIE_TOL)
     return missing
 
 
-def _scan(args) -> dict:
-    """Walk one work unit's subtree and summarize it (worker entry point)."""
-    n, rows, last, cfg = args
+def _scan(unit: tuple, split_depth: int = -1) -> tuple[dict, list[tuple]]:
+    """Walk the subtree below a unit's root and examine its classes.
+
+    A class at edge depth ``split_depth`` below the root is not examined: it
+    is returned, in walk order, as the root of a new unit. Workers scan
+    their units whole, with no split.
+    """
+    n, rows, last, job = unit
     state = _fresh_state()
+    cut = []
+
     def visit(g: Graph, last: int, depth: int, carried):
-        return _process(state, g, cfg, carried)
+        if depth == split_depth:
+            cut.append((n, g.rows, last, job))
+            return None
+        return _process(state, g, job, carried)
 
     for _ in _walk(n, visit, rows, last):
         pass
-    return state
+    return state, cut
 
 
 def threads_from_env() -> int | None:
@@ -290,29 +286,19 @@ def _resolve_workers(workers: int | None) -> int:
     return workers
 
 
-def _run_search(n: int, cfg: dict, workers: int | None, split_depth: int) -> list[dict]:
+def _run_search(n: int, job: dict, workers: int | None, split_depth: int) -> list[dict]:
     if workers is not None and workers < 1:
         raise ParameterError(f"workers must be at least 1, got {workers}")
     if split_depth < 0:
         raise ParameterError(f"split_depth must be at least 0, got {split_depth}")
     workers = _resolve_workers(workers)
-    parent = _fresh_state()
-    units = []
-
-    def visit(g: Graph, last: int, depth: int, carried):
-        if depth == split_depth:
-            units.append((n, g.rows, last, cfg))
-            return None
-        return _process(parent, g, cfg, carried)
-
-    for _ in _walk(n, visit):
-        pass
+    parent, units = _scan((n, (), -1, job), split_depth)
     if workers <= 1 or len(units) <= 1:
         parts = [_scan(u) for u in units]
     else:
         with get_context("fork").Pool(min(workers, len(units))) as pool:
             parts = pool.map(_scan, units)
-    return [parent] + parts
+    return [parent] + [state for state, _ in parts]
 
 
 def _merge(parts: list[dict], tie_tol: float) -> tuple[int, int, float | int | None, tuple]:
@@ -341,7 +327,7 @@ def spex_search(
     prune: bool = True,
     workers: int | None = None,
     split_depth: int = DEFAULT_SPLIT_DEPTH,
-    tol: float = 1e-12,
+    tol: float = DEFAULT_TOL,
 ) -> SearchReport:
     """Maximize the spectral radius over classes missing some family tree.
 
@@ -360,15 +346,14 @@ def spex_search(
     if n > MAX_N:
         raise ParameterError(f"spex search supports n <= {MAX_N}, got n={n}")
     closed = split_radius_closed_form(n, k)
-    cfg = {
-        "kind": "spex",
-        "family_t": t,
-        "connected_only": bool(connected_only),
+    job = {
+        "trees": generate_trees(t).trees,
         "prune": bool(prune),
+        "connected_only": bool(connected_only),
         "seed": closed - BOUND_SLACK,
         "tol": tol,
     }
-    parts = _run_search(n, cfg, workers, split_depth)
+    parts = _run_search(n, job, workers, split_depth)
     examined, in_family, best, argmax = _merge(parts, TIE_TOL)
 
     reference = complete_split_plus(n, k) if prime else complete_split(n, k)
@@ -424,8 +409,8 @@ def ex_search(
         raise ParameterError(f"excluded tree needs at least 2 vertices, got {t}")
     if not t <= n <= MAX_N:
         raise ParameterError(f"ex search needs |T| <= n <= {MAX_N}, got |T|={t}, n={n}")
-    cfg = {"kind": "ex", "tree": tree, "prune": bool(prune)}
-    parts = _run_search(n, cfg, workers, split_depth)
+    job = {"trees": (tree,), "prune": bool(prune), "connected_only": False, "seed": None, "tol": None}
+    parts = _run_search(n, job, workers, split_depth)
     examined, in_family, best, argmax = _merge(parts, 0)
     lower = (t - 2) * n / 2
     upper = (t - 2) * n

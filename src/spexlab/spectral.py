@@ -470,9 +470,11 @@ def audit_extremal_lemmas(
         f"min weight over L' = {('vacuous' if m is None else _num(m))}", _num(floor), ">=",
         m is None or m >= floor, None if m is None else m - floor)
 
-    # every neighborhood carries almost k units of weight
+    # every neighborhood carries almost k units of weight: (Ax)_v
+    nbr = _neighbours(g)
+    xv = np.asarray(x)
     floor = k - 1 / (16 * k**2)
-    m = min(sum(x[u] for u in g.neighbors(v)) for v in range(n))
+    m = float(_matvec(nbr, xv).min())
     add("neighborhood-weight-floor", f"min_v sum of weights over N(v) = {_num(m)}",
         _num(floor), ">=", m >= floor, m - floor)
 
@@ -508,8 +510,6 @@ def audit_extremal_lemmas(
 
     # second-degree eigen identity, evaluated with the computed pair; drift
     # beyond 10 tol n is numeric rather than structural
-    nbr = _neighbours(g)
-    xv = np.asarray(x)
     dev = float(np.max(np.abs(_matvec(nbr, _matvec(nbr, xv)) - lam * lam * xv)))
     allowance = 10 * tol * n
     add("second-degree-residual", f"max deviation = {_num(dev)}", _num(allowance), "<=",

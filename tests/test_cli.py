@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import random
@@ -149,6 +150,24 @@ def test_spex_json_schema_and_g6():
     assert payload["best_value"] == pytest.approx(4.0, abs=1e-9)
     _, g6 = run_cli(["spex", "--n", "6", "--k", "2", "--format", "g6"])
     assert g6.splitlines() == list(payload["argmax"])
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (["spex", "--n", "8", "--k", "2", "--format", "csv"],
+         "aff0a3df1e2c5a7b910a2b1dccec54eb7fdd8f4f8cfb77710a659c389c0dff06"),
+        (["spex", "--n", "8", "--k", "2", "--format", "table"],
+         "4a8b18232b8100eff03617ce20a810ef8c2ffe9d0a7fb0039974209ab300a27f"),
+        (["ex", "--n", "8", "--tree", "DhG", "--format", "csv"],
+         "50bb0fd2d86b1bbe449539818aeb4ba5954441cdd78eee83bd362a4ed9f5098e"),
+        (["ex", "--n", "8", "--tree", "DhG", "--format", "table"],
+         "852ec3cd4dbaaacb9b5b2c394d0a7d82d4d15aea13fb81cc84df86180063ccb8"),
+    ],
+)
+def test_search_text_formats_pinned(argv, digest):
+    _, text = run_cli(argv + ["--workers", "1"])
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_audit_json_lines():

@@ -157,6 +157,19 @@ def test_ex_ground_truth_matches_pruned(split_depth, workers):
     assert _without_params(a) == _without_params(base)
 
 
+@pytest.mark.parametrize(
+    "n,prune,digest",
+    [
+        (7, True, "fcc9e412bc5e08631691f85999ddd77777787b0349d54157080a9b11f5a1414a"),
+        (7, False, "4fae61caffa3f349cd5fb7186d508bb9cf3bf6c04a270a7f72d514c24a4e488d"),
+        (8, True, "ee97176274e23f57f9dc628d12266c9ec64a6c44ebe2cd9d23cc33a74f948ad6"),
+    ],
+)
+def test_ex_reports_pinned(n, prune, digest):
+    report = ex_search(n, EX_TREE, prune=prune, workers=1).to_json()
+    assert hashlib.sha256(report.encode()).hexdigest() == digest
+
+
 def test_ex_sandwich_recorded():
     r = ex_search(8, tree_of(path_graph(5)), workers=1)
     assert r.comparison["sandwich_lower"] == 12.0
