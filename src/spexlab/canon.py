@@ -92,7 +92,7 @@ class _Search:
         self.rows = rows
         self.n = n
         self.test = test
-        self.twins = _twin_masks(rows)
+        self.twins = _twin_masks(tuple(rows))
         self.assigned = [0] * n
         self.best_assigned = tuple(range(n))
         if test:  # the identity labelling's columns are the fixed target

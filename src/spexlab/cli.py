@@ -42,7 +42,7 @@ from .spectral import (
     spectral_radius,
 )
 from .trees import MAX_VERTICES, bipartition, generate_trees, tree_from_graph
-from .embed import constructive_with_case, contains_tree, family_membership
+from .embed import _TARGETS, constructive_with_case, contains_tree, family_membership
 
 __all__ = ["CommandPlan", "parse_and_plan", "execute", "main", "dump_json"]
 
@@ -139,7 +139,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("embed-lemma", description="constructive embedding into a bipartite host")
     p.add_argument("--tree", required=True)
-    p.add_argument("--target", required=True, choices=("K", "K_plus", "K_path", "K_matching"))
+    p.add_argument("--target", required=True, choices=_TARGETS)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     fmt_arg(p, ("json", "table"))

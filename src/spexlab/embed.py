@@ -1,21 +1,25 @@
 """Tree containment and the constructive bipartite-host embeddings.
 
-``contains_tree`` is exhaustive backtracking: pattern vertices are taken in
-BFS order from a tree centroid, so every vertex after the first has exactly
-one placed neighbor and candidate sets are host-neighborhood bitmasks
-filtered by degree. ``embed_constructive`` instead places trees into
-complete bipartite hosts (possibly with an edge, path or matching added to
-the large side) by explicit case analysis on the bipartition, and validates
-its output before returning; a dead end there is a bug, not an answer.
+``contains_tree`` is exhaustive backtracking over bitmasks: pattern vertices
+are taken in BFS order from a tree centroid, so every vertex after the first
+has exactly one placed neighbor. Each level forms one candidate mask, the
+host row of that neighbor's image less the used vertices (every vertex at
+the root), and peels its lowest bit per try; a candidate of too low degree
+is dropped, and a failed one drops its whole host twin class with one
+AND-NOT. ``embed_constructive`` instead places trees into complete bipartite
+hosts (possibly with an edge, path or matching added to the large side) by
+explicit case analysis on the bipartition, and validates its output against
+the host before returning; a dead end there is a bug, not an answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import EmbeddingCaseError, ParameterError
-from .graphs import FAMILIES, Graph, _bits
-from .trees import Tree, TreeFamily
+from .graphs import FAMILIES, Graph
+from .trees import MAX_VERTICES, Tree, TreeFamily
 
 __all__ = [
     "Embedding",
@@ -48,22 +52,38 @@ class FamilyMembership:
 
 
 def verify_embedding(host: Graph, pattern: Graph, emb: Embedding) -> bool:
+    """Is the mapping injective, in range, and every pattern edge a host edge?
+
+    Each pattern row's bits are looked up in the row of its image.
+    """
     m = emb.mapping
     if len(m) != pattern.n or len(set(m)) != pattern.n:
         return False
     if any(not 0 <= v < host.n for v in m):
         return False
-    return all(host.has_edge(m[u], m[v]) for u, v in pattern.edges())
+    hrows = host.rows
+    for u, row in enumerate(pattern.rows):
+        image = hrows[m[u]]
+        while row:
+            low = row & -row
+            if not image >> m[low.bit_length() - 1] & 1:
+                return False
+            row ^= low
+    return True
 
 
 def contains_tree(host: Graph, tree: Tree) -> Embedding | None:
     """An embedding of the tree into the host, or None if there is none.
 
-    Candidates in the host twin class (``Graph.twin_masks``) of an
-    already-failed candidate are skipped: swapping twins is a host
-    automorphism fixing the partial assignment, so the retry cannot succeed.
-    This keeps misses polynomial on hosts with large interchangeable classes
-    (independent parts, bipartite sides).
+    Pattern vertex i (BFS order) takes the lowest host vertex of its
+    candidate mask, the row of its parent's image less ``used``, whose degree
+    is at least its own. When that subtree fails, the candidate's whole host
+    twin class (``Graph.twin_masks``) leaves the mask in one AND-NOT:
+    swapping twins is a host automorphism fixing the partial assignment, so
+    a retry on a twin cannot succeed. This keeps misses polynomial on hosts
+    with large interchangeable classes (independent parts, bipartite sides).
+    The search is depth-first over ascending candidates, so the embedding
+    returned is the first one in that order.
     """
     t = tree.graph.n
     if t > host.n:
@@ -72,31 +92,27 @@ def contains_tree(host: Graph, tree: Tree) -> Embedding | None:
     hdeg = host.degrees()
     hrows = host.rows
     twins = host.twin_masks
+    everyone = (1 << host.n) - 1
     assign = [0] * t
-    used = 0
 
-    def place(i: int) -> bool:
-        nonlocal used
+    def place(i: int, used: int) -> bool:
         if i == t:
             return True
         need = pdeg[i]
-        if i == 0:
-            cand = range(host.n)
-        else:
-            cand = _bits(hrows[assign[parent_pos[i]]] & ~used)
-        failed = 0
-        for hv in cand:
-            if hdeg[hv] < need or (failed >> hv) & 1:
+        cand = (hrows[assign[parent_pos[i]]] if i else everyone) & ~used
+        while cand:
+            low = cand & -cand
+            hv = low.bit_length() - 1
+            if hdeg[hv] < need:
+                cand ^= low
                 continue
             assign[i] = hv
-            used |= 1 << hv
-            if place(i + 1):
+            if place(i + 1, used | low):
                 return True
-            used &= ~(1 << hv)
-            failed |= twins[hv]
+            cand &= ~twins[hv]
         return False
 
-    if not place(0):
+    if not place(0, 0):
         return None
     mapping = [0] * t
     for i, v in enumerate(order):
@@ -151,13 +167,22 @@ def constructive_with_case(tree: Tree, target: str, a: int, b: int) -> tuple[Emb
             raise ParameterError(
                 f"{target} target needs b = 2a+2 and |T| = 2a+3, got a={a}, b={b}, |T|={t}"
             )
-    host = FAMILIES[target][0](a, b)
     emb, case = _place(tree, target, a, b)
-    if not verify_embedding(host, tree.graph, emb):
+    if not verify_embedding(_host(target, a, b), tree.graph, emb):
         raise EmbeddingCaseError(
             f"constructive case {case!r} produced an invalid embedding; this falsifies the case analysis"
         )
     return emb, case
+
+
+@lru_cache(maxsize=3 * MAX_VERTICES)
+def _host(target: str, a: int, b: int) -> Graph:
+    """The host graph of a target shape, built once per shape.
+
+    A tree order t admits at most three valid (target, a, b), so the cache
+    holds the hosts of every family with t <= MAX_VERTICES at once.
+    """
+    return FAMILIES[target][0](a, b)
 
 
 def _direct(part_small, part_big, a: int) -> Embedding:

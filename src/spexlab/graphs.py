@@ -13,8 +13,8 @@ labels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property, lru_cache
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -160,8 +160,13 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _twin_masks(rows: Sequence[int]) -> tuple[int, ...]:
+@lru_cache(maxsize=1)
+def _twin_masks(rows: tuple[int, ...]) -> tuple[int, ...]:
     """Bitmask of each vertex's twin class, for the graph with these rows.
+
+    The latest result is kept: the orderly walker's accept test asks for a
+    child's masks (``canon``), and the walker then asks again, through
+    ``Graph.twin_masks``, for the child it builds from the same rows.
 
     Open twins share a row; closed twins share the closed row ``row | 1 << v``.
     No vertex has twins of both kinds, so closed rows are formed only for

@@ -133,6 +133,21 @@ def test_embed_lemma_json():
     assert len(payload["embedding"]) == 6
 
 
+def test_embed_lemma_targets_are_the_embed_targets(capsys):
+    from spexlab import embed
+    from spexlab.cli import _build_parser
+
+    (sub,) = [a for a in _build_parser()._actions if a.dest == "command"]
+    (target,) = [a for a in sub.choices["embed-lemma"]._actions if a.dest == "target"]
+    assert tuple(target.choices) == embed._TARGETS
+    p6 = encode(path_graph(6))
+    assert main(["embed-lemma", "--tree", p6, "--target", "K_star", "--a", "2", "--b", "5"]) == 2
+    assert capsys.readouterr().err == (
+        "usage error: argument --target: invalid choice: 'K_star' "
+        "(choose from 'K', 'K_plus', 'K_path', 'K_matching')\n"
+    )
+
+
 def test_ex_json_schema_and_csv():
     p4 = encode(path_graph(4))
     _, text = run_cli(["ex", "--n", "6", "--tree", p4, "--format", "json"])

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -21,9 +22,11 @@ from spexlab.graphs import (
     complete_bipartite,
     complete_split,
     complete_split_plus,
+    construct,
     from_edges,
     path_graph,
 )
+from spexlab.search import enumerate_graphs
 from spexlab.trees import bipartition, generate_trees, tree_from_graph
 
 
@@ -230,3 +233,94 @@ def test_verify_embedding_rejects_bad_maps():
     assert not verify_embedding(host, pattern, Embedding((0, 1, 1, 2)))
     assert not verify_embedding(host, pattern, Embedding((0, 1, 2, 3)))
     assert verify_embedding(host, pattern, Embedding((0, 3, 1, 4)))
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs: every mapping, not only whether one exists
+
+
+def _lines_sha256(lines) -> str:
+    return hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
+
+
+def _mapping_line(host: Graph, tree) -> str:
+    emb = contains_tree(host, tree)
+    return repr(None if emb is None else emb.mapping)
+
+
+def _bipartite_jobs():
+    # the paper's lower-bound hosts with their whole families, k = 2..5
+    for k in range(2, 6):
+        yield "K_plus", k, 2 * k + 1, generate_trees(2 * k + 2)
+        for target in ("K_path", "K_matching"):
+            yield target, k, 2 * k + 2, generate_trees(2 * k + 3)
+
+
+def test_containment_mappings_pinned_on_small_classes(graphs_on_7):
+    classes = [g for n in range(1, 7) for g in enumerate_graphs(n)] + graphs_on_7
+    lines = [
+        _mapping_line(g, tree)
+        for g in classes
+        for t in range(2, min(g.n, 7) + 1)
+        for tree in generate_trees(t)
+    ]
+    assert len(lines) == 27376
+    assert _lines_sha256(lines) == "74f98d24dc982bb3553269b870559c1be57d2cddd7cd2c7b14373a202b81b196"
+
+
+def test_containment_mappings_pinned_on_bipartite_hosts():
+    lines = [
+        _mapping_line(construct(target, a=a, b=b), tree)
+        for target, a, b, family in _bipartite_jobs()
+        for tree in family
+    ]
+    assert len(lines) == 3874
+    assert "None" not in lines
+    assert _lines_sha256(lines) == "115d9eae2d630169fb62bb6231a4baadf3e8ebf28b17724ead4c0a8485c2d427"
+
+
+def test_containment_mappings_pinned_on_split_hosts():
+    lines = []
+    for k in range(2, 6):
+        for host, t in ((complete_split(8 * k + 8, k), 2 * k + 2),
+                        (complete_split_plus(8 * k + 12, k), 2 * k + 3)):
+            lines += [_mapping_line(host, tree) for tree in generate_trees(t)]
+    assert len(lines) == 2280
+    assert lines.count("None") == 93
+    assert _lines_sha256(lines) == "1b1b4c89c7b4afb1605e6b20b9731d614a58596a1e942e25ced540f1947889c1"
+
+
+def test_constructive_mappings_and_cases_pinned():
+    jobs = [(target, a, b, tree) for target, a, b, family in _bipartite_jobs() for tree in family]
+    jobs += [("K", t // 2, t - 1, tree) for t in range(2, 12) for tree in generate_trees(t)]
+    lines = []
+    for target, a, b, tree in jobs:
+        emb, case = constructive_with_case(tree, target, a, b)
+        lines.append(repr((emb.mapping, case)))
+    assert len(lines) == 4309
+    assert _lines_sha256(lines) == "ce87bf7d2de093622e6b002c60eb29fcbd99e6be7aa1792c554788f2f693d16c"
+
+
+def test_agreement_with_naive_oracle_on_twin_heavy_hosts():
+    # large twin classes (independent parts, bipartite sides) are where a
+    # failed candidate drops its whole class at once
+    jobs = [
+        (complete_split(10, 2), generate_trees(6)),
+        (complete_split_plus(11, 2), generate_trees(7)),
+        (bipartite_plus_edge(2, 5), generate_trees(6)),
+        (bipartite_plus_path(2, 6), generate_trees(7)),
+        (bipartite_plus_matching(2, 6), generate_trees(7)),
+        (complete_bipartite(3, 5), generate_trees(6)),
+    ]
+    pairs = misses = 0
+    for host, family in jobs:
+        for tree in family:
+            got = contains_tree(host, tree)
+            assert (got is not None) == naive_contains(host, tree.graph)
+            if got is None:
+                misses += 1
+            else:
+                assert check_embedding(host, tree.graph, got.mapping)
+            pairs += 1
+    assert pairs == 51
+    assert misses > 0
