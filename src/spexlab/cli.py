@@ -38,7 +38,6 @@ from .spectral import (
     audit_extremal_lemmas,
     classify_vertices,
     constants_with,
-    default_constants,
     spectral_radius,
 )
 from .trees import MAX_VERTICES, bipartition, generate_trees, tree_from_graph
@@ -237,11 +236,10 @@ def _read_graph_arg(value: str) -> Graph:
             text = fh.read()
     else:
         text = value
-    for line in text.splitlines() or [text]:
-        line = line.strip()
-        if line:
-            return graph6.decode(line)
-    raise ParameterError("no graph6 data found in input")
+    g = next(graph6.read_lines(text), None)
+    if g is None:
+        raise ParameterError("no graph6 data found in input")
+    return g
 
 
 def _resolve_graph(params: dict) -> Graph:
@@ -253,11 +251,8 @@ def _resolve_graph(params: dict) -> Graph:
 
 
 def _resolve_constants(params: dict):
-    k = params["k"]
     overrides = {key: params.get(key) for key in ("eta", "epsilon", "alpha")}
-    if all(v is None for v in overrides.values()):
-        return default_constants(k)
-    c = constants_with(k, **overrides)
+    c = constants_with(params["k"], **overrides)
     if not c.satisfies_chain and not params.get("no_chain_check"):
         raise UsageError(
             "constant overrides violate the recommended chain; pass --no-chain-check to proceed"
@@ -314,7 +309,7 @@ def _exec_construct(plan: CommandPlan, fmt: str) -> str:
     if fmt == "g6":
         return graph6.encode(g) + "\n"
     payload = {
-        "family": plan.params["family"] or "graph6",
+        "family": plan.params["family"],
         "graph6": graph6.encode(g),
         "n": g.n,
         "edges": g.edge_count,

@@ -33,10 +33,10 @@ keeps the best value and its ties for both.
 
 Two exact monotone facts allow subtree pruning without changing results: a
 graph containing every excluded tree only gains trees when edges are added,
-and the radius bounds lambda <= sqrt(2 e(G)) and
-lambda^2 <= max_v sum_{u ~ v} d(u) let hopeless spex candidates skip the
-eigenvalue solve. Ground-truth mode disables all of it and visits every
-class.
+and the radius bound lambda^2 <= max_v sum_{u ~ v} d(u) lets hopeless spex
+candidates skip the eigenvalue solve. It implies lambda <= sqrt(2 e(G)),
+since sum_{u ~ v} d(u) <= sum_u d(u) = 2 e(G), so that bound is not
+checked. Ground-truth mode disables all of it and visits every class.
 
 Tree containment is hereditary the same way: a child adds one edge to its
 parent, so every embedding into the parent is one into the child, and the
@@ -191,12 +191,8 @@ class SearchReport:
 
 
 def _radius_upper_bound(g: Graph) -> float:
-    if g.edge_count == 0:
-        return 0.0
     degs = g.degrees()
-    by_edges = math.sqrt(2 * g.edge_count)
-    by_neighbors = math.sqrt(max(sum(degs[u] for u in _bits(row)) for row in g.rows))
-    return min(by_edges, by_neighbors)
+    return math.sqrt(max(sum(degs[u] for u in _bits(row)) for row in g.rows))
 
 
 def _fresh_state() -> dict:

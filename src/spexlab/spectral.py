@@ -17,6 +17,11 @@ graph, so bipartite components cannot oscillate with period two) returns a
 float64 vector only once its residual on A, measured in extended precision,
 is within the tolerance. A start that already passes costs one step. Both
 starts are deterministic.
+
+Each audit inequality is stated once, as its margin (satisfied side minus
+required side); pass/fail is the margin's sign under the relation. For
+finite doubles b - a has the sign of the exact difference and is 0 only
+when a == b, so the rule decides exactly what the comparison would.
 """
 
 from __future__ import annotations
@@ -211,8 +216,9 @@ def _component_key(g: Graph, comp: tuple[int, ...]):
 
 
 def _assemble(g: Graph, comp: tuple[int, ...], lam, x, residual) -> PerronData:
+    # x comes from _snap_ties, so its maximum is already exactly 1
     full = np.zeros(g.n)
-    full[list(comp)] = x / x.max()
+    full[list(comp)] = x
     vec = tuple(float(v) for v in full)
     z = max(range(g.n), key=lambda v: vec[v])
     return PerronData(float(lam), vec, float(residual), int(z))
@@ -262,15 +268,13 @@ def _epsilon_bound(k: int, eta: float) -> float:
     return min(eta, eta / 2, 1 / (8 * k**3), eta / (32 * k**3 + 2))
 
 
+def _alpha_bound(k: int, eta: float, epsilon: float) -> float:
+    return min(eta, epsilon**2 / (22 * k))
+
+
 def default_constants(k: int) -> Constants:
     """Constants set to 0.9 of each upper bound, evaluated in chain order."""
-    if k < 2:
-        raise ParameterError(f"constants are defined for k >= 2, got k={k}")
-    eta = 0.9 * _eta_bound(k)
-    epsilon = 0.9 * _epsilon_bound(k, eta)
-    alpha = 0.9 * min(eta, epsilon**2 / (22 * k))
-    delta = epsilon * alpha / (500 * k**2)
-    return Constants(k, eta, epsilon, alpha, delta, True)
+    return constants_with(k)
 
 
 def constants_with(
@@ -279,20 +283,25 @@ def constants_with(
     epsilon: float | None = None,
     alpha: float | None = None,
 ) -> Constants:
-    """Constants with selective overrides; the chain flag is recomputed."""
+    """Constants with selective overrides; the chain flag is recomputed.
+
+    A missing value is 0.9 of its upper bound along the default chain, not
+    along the overridden one.
+    """
     if k < 2:
         raise ParameterError(f"constants are defined for k >= 2, got k={k}")
-    base = default_constants(k)
-    eta = base.eta if eta is None else float(eta)
-    epsilon = base.epsilon if epsilon is None else float(epsilon)
-    alpha = base.alpha if alpha is None else float(alpha)
+    eta_0 = 0.9 * _eta_bound(k)
+    epsilon_0 = 0.9 * _epsilon_bound(k, eta_0)
+    eta = eta_0 if eta is None else float(eta)
+    epsilon = epsilon_0 if epsilon is None else float(epsilon)
+    alpha = 0.9 * _alpha_bound(k, eta_0, epsilon_0) if alpha is None else float(alpha)
     if min(eta, epsilon, alpha) <= 0:
         raise ParameterError("constants must be strictly positive")
     delta = epsilon * alpha / (500 * k**2)
     ok = (
         eta < _eta_bound(k)
         and epsilon < _epsilon_bound(k, eta)
-        and alpha < min(eta, epsilon**2 / (22 * k))
+        and alpha < _alpha_bound(k, eta, epsilon)
     )
     return Constants(k, eta, epsilon, alpha, delta, ok)
 
@@ -342,7 +351,9 @@ class AuditEntry:
     """One checked inequality: identifier, rendering with numbers, outcome.
 
     ``margin`` is (satisfied side - required side) recomputed from the graph;
-    None marks a vacuous check (a minimum over an empty set).
+    None marks a vacuous check (a minimum over an empty set). ``passed`` is
+    the margin's sign under the relation: a vacuous check passes, ``==``
+    passes at 0, ``<`` above 0, ``<=`` and ``>=`` at 0 or above.
     """
 
     lemma: str
@@ -372,25 +383,11 @@ def _num(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _min_over(values):
-    values = list(values)
-    if not values:
-        return None
-    return min(values)
-
-
 def _edges_between(g: Graph, left, right) -> int:
     rmask = 0
     for v in right:
         rmask |= 1 << v
     return sum((g.rows[v] & rmask).bit_count() for v in left)
-
-
-def _edges_within(g: Graph, verts) -> int:
-    mask = 0
-    for v in verts:
-        mask |= 1 << v
-    return sum((g.rows[v] & mask).bit_count() for v in verts) // 2
 
 
 def audit_extremal_lemmas(
@@ -411,34 +408,39 @@ def audit_extremal_lemmas(
     degs = g.degrees()
     entries = []
 
-    def add(lemma, satisfied, required, relation, passed, margin):
-        entries.append(
-            AuditEntry(lemma, f"{satisfied} {relation} {required}", bool(passed), margin)
-        )
+    def add(lemma, satisfied, required, relation, margin):
+        if margin is None:
+            passed = True
+        elif relation == "==":
+            passed = margin == 0
+        elif relation == "<":
+            passed = margin > 0
+        else:
+            passed = margin >= 0
+        entries.append(AuditEntry(lemma, f"{satisfied} {relation} {required}", passed, margin))
 
     # size of the large-weight class and of the mid-weight class
     bound = 5 * math.sqrt(k * n) / c.alpha
     add("large-weight-count", f"|L| = {len(part.large)}", _num(bound), "<=",
-        len(part.large) <= bound, bound - len(part.large))
+        bound - len(part.large))
     bound = 15 * math.sqrt(k * n) / c.alpha
     add("mid-weight-count", f"|M| = {len(part.mid)}", _num(bound), "<=",
-        len(part.mid) <= bound, bound - len(part.mid))
+        bound - len(part.mid))
     bound = 500 * k**2 / c.alpha
     add("large-weight-count-refined", f"|L| = {len(part.large)}", _num(bound), "<=",
-        len(part.large) <= bound, bound - len(part.large))
+        bound - len(part.large))
 
     # linear degree floor on the large-weight class
     floor = c.alpha * n / (10 * (4 * k + 3))
-    m = _min_over(degs[v] for v in part.large)
+    m = min((degs[v] for v in part.large), default=None)
     add("large-weight-degree-floor",
         f"min degree over L = {m if m is not None else 'vacuous'}", _num(floor), ">=",
-        m is None or m >= floor, None if m is None else m - floor)
+        None if m is None else m - floor)
 
     # degree of a top-weight vertex tracks its weight
-    m = _min_over(degs[v] - (x[v] - c.epsilon) * n for v in part.top)
+    m = min((degs[v] - (x[v] - c.epsilon) * n for v in part.top), default=None)
     add("top-weight-degree", "min over L' of d(v) - (x_v - eps) n"
-        f" = {('vacuous' if m is None else _num(m))}", "0", ">=",
-        m is None or m >= 0, m)
+        f" = {('vacuous' if m is None else _num(m))}", "0", ">=", m)
 
     # edge window around the maximum-weight vertex
     sh = shells(g, p.z)
@@ -452,23 +454,22 @@ def audit_extremal_lemmas(
     lo = (1 - c.epsilon) * k * n
     hi = (k + c.epsilon) * n
     add("max-vertex-edge-window", f"{lo:.6g} <= e(S1, z u L1 u L2) = {val}", _num(hi),
-        "<=", lo <= val <= hi, min(val - lo, hi - val))
+        "<=", min(val - lo, hi - val))
 
     # the top-weight class has exactly k vertices
-    add("top-weight-size", f"|L'| = {len(part.top)}", str(k), "==",
-        len(part.top) == k, float(len(part.top) - k))
+    add("top-weight-size", f"|L'| = {len(part.top)}", str(k), "==", float(len(part.top) - k))
 
     # top-weight vertices have near-full degree and near-maximal weight
     floor = (1 - 1 / (8 * k**3)) * n
-    m = _min_over(degs[v] for v in part.top)
+    m = min((degs[v] for v in part.top), default=None)
     add("top-weight-degree-floor",
         f"min degree over L' = {m if m is not None else 'vacuous'}", _num(floor), ">=",
-        m is None or m >= floor, None if m is None else m - floor)
+        None if m is None else m - floor)
     floor = 1 - 1 / (16 * k**3)
-    m = _min_over(x[v] for v in part.top)
+    m = min((x[v] for v in part.top), default=None)
     add("top-weight-floor",
         f"min weight over L' = {('vacuous' if m is None else _num(m))}", _num(floor), ">=",
-        m is None or m >= floor, None if m is None else m - floor)
+        None if m is None else m - floor)
 
     # every neighborhood carries almost k units of weight: (Ax)_v
     nbr = _neighbours(g)
@@ -476,26 +477,26 @@ def audit_extremal_lemmas(
     floor = k - 1 / (16 * k**2)
     m = float(_matvec(nbr, xv).min())
     add("neighborhood-weight-floor", f"min_v sum of weights over N(v) = {_num(m)}",
-        _num(floor), ">=", m >= floor, m - floor)
+        _num(floor), ">=", m - floor)
 
     # the exceptional class vanishes; the common neighborhood is nearly independent
     add("exceptional-empty", f"|E| = {len(part.exceptional)}", "0", "==",
-        len(part.exceptional) == 0, float(-len(part.exceptional)))
-    er = _edges_within(g, part.common)
-    add("common-neighborhood-edges", f"e(R) = {er}", "1", "<=", er <= 1, float(1 - er))
+        float(-len(part.exceptional)))
+    er = _edges_between(g, part.common, part.common) // 2
+    add("common-neighborhood-edges", f"e(R) = {er}", "1", "<=", float(1 - er))
 
     # connectivity and the global weight floor
     ncomp = len(g.components())
-    add("connected", f"components = {ncomp}", "1", "==", ncomp == 1, float(1 - ncomp))
+    add("connected", f"components = {ncomp}", "1", "==", float(1 - ncomp))
     m = min(x)
     floor = 1 / lam if lam > 0 else 0.0
-    add("weight-floor", f"min weight = {_num(m)}", _num(floor), ">=", m >= floor, m - floor)
+    add("weight-floor", f"min weight = {_num(m)}", _num(floor), ">=", m - floor)
 
     # radius window
     hi = math.sqrt((4 * k + 2) * n)
-    add("radius-upper", f"radius = {_num(lam)}", _num(hi), "<", lam < hi, hi - lam)
+    add("radius-upper", f"radius = {_num(lam)}", _num(hi), "<", hi - lam)
     lo = split_radius_closed_form(n, k) if k < n else float(k - 1)
-    add("radius-lower", f"radius = {_num(lam)}", _num(lo), ">=", lam >= lo, lam - lo)
+    add("radius-lower", f"radius = {_num(lam)}", _num(lo), ">=", lam - lo)
 
     # the mechanism ruling out a nonempty exceptional class: its induced
     # subgraph would need spectral radius at least (4 / 5k) of the whole
@@ -506,13 +507,13 @@ def audit_extremal_lemmas(
         sub_lam = 0.0
     req = 4 * lam / (5 * k)
     add("exceptional-subgraph-radius", f"radius of G[E] = {_num(sub_lam)}", _num(req),
-        ">=", sub_lam >= req, sub_lam - req)
+        ">=", sub_lam - req)
 
     # second-degree eigen identity, evaluated with the computed pair; drift
     # beyond 10 tol n is numeric rather than structural
     dev = float(np.max(np.abs(_matvec(nbr, _matvec(nbr, xv)) - lam * lam * xv)))
     allowance = 10 * tol * n
     add("second-degree-residual", f"max deviation = {_num(dev)}", _num(allowance), "<=",
-        dev <= allowance, allowance - dev)
+        allowance - dev)
 
     return AuditReport(tuple(entries))

@@ -46,17 +46,10 @@ class Tree:
         """
         g = self.graph
         adj = [g.neighbors(v) for v in range(g.n)]
-        root = min(_centroids(adj))
-        order = [root]
-        parent_pos = [-1]
-        pos_of = {root: 0}
-        for v in order:
-            for u in adj[v]:
-                if u not in pos_of:
-                    pos_of[u] = len(order)
-                    order.append(u)
-                    parent_pos.append(pos_of[v])
-        return tuple(order), tuple(parent_pos), tuple(len(adj[v]) for v in order)
+        order, parent = _bfs(adj, min(_centroids(adj)))
+        pos_of = {v: i for i, v in enumerate(order)}
+        parent_pos = tuple(pos_of.get(parent[v], -1) for v in order)
+        return tuple(order), parent_pos, tuple(len(adj[v]) for v in order)
 
 
 @dataclass(frozen=True)
@@ -140,17 +133,25 @@ def _edges_from_sequence(seq: list[int]) -> list[tuple[int, int]]:
     return edges
 
 
-def _centroids(adj: list[list[int]]) -> list[int]:
-    t = len(adj)
-    if t == 1:
-        return [0]
-    order = [0]
-    parent = [-1] * t
+def _bfs(adj, root: int) -> tuple[list[int], list[int]]:
+    """BFS of a tree from root: (vertices in visit order, parent of each vertex).
+
+    Neighbours are visited in adjacency order; the root's parent is -1.
+    """
+    order = [root]
+    parent = [None] * len(adj)
+    parent[root] = -1
     for v in order:
         for u in adj[v]:
-            if u != parent[v]:
+            if parent[u] is None:
                 parent[u] = v
                 order.append(u)
+    return order, parent
+
+
+def _centroids(adj: list[list[int]]) -> list[int]:
+    t = len(adj)
+    order, parent = _bfs(adj, 0)
     size = [1] * t
     for v in reversed(order[1:]):
         size[parent[v]] += size[v]
@@ -172,14 +173,10 @@ def _sides(color: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def _bipartition_parts(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    color = [-1] * g.n
-    color[0] = 0
-    queue = [0]
-    for v in queue:
-        for u in g.neighbors(v):
-            if color[u] < 0:
-                color[u] = color[v] ^ 1
-                queue.append(u)
+    order, parent = _bfs([g.neighbors(v) for v in range(g.n)], 0)
+    color = [0] * g.n
+    for v in order[1:]:
+        color[v] = color[parent[v]] ^ 1
     return _sides(color)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -9,9 +10,13 @@ from oracles import eig_radius
 from spexlab.errors import ConvergenceError, ParameterError
 from spexlab.graphs import (
     Graph,
+    bipartite_plus_edge,
+    bipartite_plus_matching,
+    bipartite_plus_path,
     clique,
     complete_bipartite,
     complete_split,
+    complete_split_plus,
     construct,
     cycle,
     disjoint_union,
@@ -427,3 +432,90 @@ def test_audit_json_round_trip():
     for d in report.to_dicts():
         parsed = json.loads(json.dumps(d))
         assert set(parsed) == {"lemma", "inequality", "pass", "margin"}
+
+
+# ---------------------------------------------------------------------------
+# audit pins: each entry's outcome is the sign of its margin under its relation
+
+
+def _audit_corpus():
+    """(graph, k) pairs: reference graphs, hosts, small classes, random graphs."""
+    corpus = []
+    for k in (2, 3, 4):
+        for n in (2 * k + 2, 3 * k + 2, 3 * k + 3, 50, 200, 1000):
+            corpus += [(complete_split(n, k), k), (complete_split_plus(n, k), k)]
+    for a in (2, 3):
+        for b in (2 * a + 1, 2 * a + 2, 30):
+            for host in (complete_bipartite, bipartite_plus_edge, bipartite_plus_path,
+                         bipartite_plus_matching):
+                corpus.append((host(a, b), a))
+    corpus += [(path_graph(t), 2) for t in (1, 2, 5, 12)]
+    corpus += [(cycle(t), 2) for t in (3, 4, 9)]
+    corpus += [(clique(t), 2) for t in (1, 3, 6)]
+    corpus.append((disjoint_union(cycle(4), complete_split(7, 2)), 2))
+    corpus.append((from_edges(5, []), 2))
+    for n in range(1, 7):
+        corpus += [(g, 2) for g in enumerate_graphs(n)]
+    rng = random.Random(1107)
+    for _ in range(20):
+        n = rng.randint(7, 11)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+        corpus.append((from_edges(n, edges), 2))
+    return corpus
+
+
+def _constant_sets(k):
+    # the last set puts alpha and eta above every Perron weight, so the
+    # minimum-over-a-class entries are vacuous
+    return (constants_with(k), constants_with(k, eta=0.5),
+            constants_with(k, alpha=1e-3, epsilon=0.01), constants_with(k, eta=2.0, alpha=1.5))
+
+
+@pytest.fixture(scope="module")
+def audit_corpus_reports():
+    out = []
+    for g, k in _audit_corpus():
+        p = spectral_radius(g)
+        for c in _constant_sets(k):
+            out.append((c, audit_extremal_lemmas(g, k, c, p)))
+    return out
+
+
+def test_audit_corpus_pinned(audit_corpus_reports):
+    # sha256 of every report and its constants, computed before pass/fail
+    # was derived from the margins; any changed entry, margin or constant
+    # changes it
+    h = hashlib.sha256()
+    for c, report in audit_corpus_reports:
+        h.update((repr(report.to_dicts()) + repr(c)).encode())
+    assert len(audit_corpus_reports) == 4 * len(_audit_corpus())
+    assert h.hexdigest() == (
+        "4b23fbc2963ccbdd684ad13c7683b8fca7a1ce64d0cd9ad8aecc4ed1e53f79ee"
+    )
+
+
+def test_audit_pass_is_margin_sign(audit_corpus_reports):
+    def rule(relation, margin):
+        if margin is None:
+            return True
+        if relation == "==":
+            return margin == 0
+        if relation == "<":
+            return margin > 0
+        assert relation in ("<=", ">=")
+        return margin >= 0
+
+    failing = vacuous = 0
+    for _, report in audit_corpus_reports:
+        for e in report.entries:
+            relation = e.inequality.split(" ")[-2]
+            assert e.passed == rule(relation, e.margin), e
+            failing += not e.passed
+            vacuous += e.margin is None
+    # the corpus exercises the failing side and the vacuous case too
+    assert failing > 1000 and vacuous > 100
+
+
+@pytest.mark.parametrize("k", range(2, 21))
+def test_constants_with_defaults_are_the_default_chain(k):
+    assert constants_with(k) == default_constants(k)
