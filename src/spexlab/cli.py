@@ -2,8 +2,10 @@
 
 One subcommand per operation group: construct, trees, spectral, classify,
 contains, membership, embed-lemma, spex, ex, audit, enumerate. Parsing and
-planning never compute anything; execution buffers its entire output and
-emits it only on success, so failed invocations never print partial results.
+planning never compute anything: planning checks only the command line's
+shape; every range is checked once, by the library, before it computes.
+Execution buffers its entire output and emits it only on success, so failed
+invocations never print partial results.
 
 Exit codes: 0 success, 2 usage or input error, 3 convergence failure.
 Numeric output uses 12 significant digits and repeated invocations are
@@ -18,7 +20,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import graph6
 from .errors import (
@@ -29,9 +31,7 @@ from .errors import (
 )
 from .graphs import FAMILIES, Graph, construct, family_parameters
 from .schemas import _round_floats, dump_json
-from .search import (
-    DEFAULT_SPLIT_DEPTH, MAX_N, ex_search, spex_search, enumerate_graphs, threads_from_env,
-)
+from .search import DEFAULT_SPLIT_DEPTH, ex_search, spex_search, enumerate_graphs
 from .spectral import (
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOL,
@@ -40,7 +40,7 @@ from .spectral import (
     constants_with,
     spectral_radius,
 )
-from .trees import MAX_VERTICES, bipartition, generate_trees, tree_from_graph
+from .trees import bipartition, generate_trees, tree_from_graph
 from .embed import _TARGETS, constructive_with_case, contains_tree, family_membership
 
 __all__ = ["CommandPlan", "parse_and_plan", "execute", "main", "dump_json"]
@@ -188,44 +188,14 @@ def parse_and_plan(argv: list[str]) -> CommandPlan:
 
 
 def _validate_plan(plan: CommandPlan) -> None:
+    """The command line's own rule: the shape of the graph input."""
     p = plan.params
-    if plan.command in ("construct", "spectral", "classify", "contains", "membership", "audit"):
-        has_graph = p.get("graph") is not None
-        has_family = p.get("family") is not None
-        if plan.command == "construct":
-            if not has_family:
-                raise UsageError("construct needs --family with its parameters")
-        elif has_graph == has_family:
+    if plan.command == "construct":
+        if p["family"] is None:
+            raise UsageError("construct needs --family with its parameters")
+    elif plan.command in ("spectral", "classify", "contains", "membership", "audit"):
+        if (p["graph"] is None) == (p["family"] is None):
             raise UsageError("give exactly one graph input: --graph, or --family with parameters")
-    if plan.command == "trees" and not 1 <= p["t"] <= MAX_VERTICES:
-        raise UsageError(f"--t must be in 1..{MAX_VERTICES}")
-    if plan.command == "membership" and not 1 <= p["t"] <= MAX_VERTICES:
-        raise UsageError(f"--t must be in 1..{MAX_VERTICES}")
-    if plan.command == "enumerate" and not 1 <= p["n"] <= MAX_N:
-        raise UsageError(f"--n must be in 1..{MAX_N}")
-    if plan.command == "spex":
-        n, k = p["n"], p["k"]
-        least = 2 * k + 3 if p["prime"] else 2 * k + 2
-        if k < 2:
-            raise UsageError("spex needs k >= 2")
-        if n < least:
-            raise UsageError(f"spex needs n >= {least} for k={k}" + (" with --prime" if p["prime"] else ""))
-        if n > MAX_N:
-            raise UsageError(f"spex supports n <= {MAX_N}")
-    if plan.command == "ex" and not 2 <= p["n"] <= MAX_N:
-        raise UsageError(f"ex needs 2 <= n <= {MAX_N}")
-    if plan.command in ("spex", "ex"):
-        if p["workers"] is not None and p["workers"] < 1:
-            raise UsageError("--workers must be at least 1")
-        if p["split_depth"] < 0:
-            raise UsageError("--split-depth must be at least 0")
-        if p["workers"] is None:
-            try:
-                threads_from_env()
-            except ParameterError as exc:
-                raise UsageError(str(exc)) from None
-    if plan.command in ("classify", "audit") and p["k"] < 2:
-        raise UsageError("--k must be at least 2")
 
 
 def _read_graph_arg(value: str) -> Graph:
@@ -347,27 +317,12 @@ def _exec_spectral(plan: CommandPlan, fmt: str) -> str:
 
 
 def _exec_classify(plan: CommandPlan, fmt: str) -> str:
-    g = _resolve_graph(plan.params)
     c = _resolve_constants(plan.params)
+    g = _resolve_graph(plan.params)
     p = spectral_radius(g, tol=plan.params["tol"])
-    part = classify_vertices(g, p, c)
-    payload = {
-        "constants": {
-            "k": c.k, "eta": c.eta, "epsilon": c.epsilon,
-            "alpha": c.alpha, "delta": c.delta, "satisfies_chain": c.satisfies_chain,
-        },
-        "sizes": {
-            "large": len(part.large), "small": len(part.small), "mid": len(part.mid),
-            "top": len(part.top), "common": len(part.common),
-            "exceptional": len(part.exceptional),
-        },
-        "large": list(part.large),
-        "small": list(part.small),
-        "mid": list(part.mid),
-        "top": list(part.top),
-        "common": list(part.common),
-        "exceptional": list(part.exceptional),
-    }
+    part = asdict(classify_vertices(g, p, c))
+    sizes = {name: len(members) for name, members in part.items()}
+    payload = {"constants": asdict(c), "sizes": sizes, **part}
     return _emit(payload, fmt)
 
 
@@ -387,8 +342,8 @@ def _exec_contains(plan: CommandPlan, fmt: str) -> str:
 
 
 def _exec_membership(plan: CommandPlan, fmt: str) -> str:
-    g = _resolve_graph(plan.params)
     fam = generate_trees(plan.params["t"])
+    g = _resolve_graph(plan.params)
     m = family_membership(g, fam)
     payload = {
         "t": fam.t,
@@ -452,8 +407,8 @@ def _exec_ex(plan: CommandPlan, fmt: str) -> str:
 
 
 def _exec_audit(plan: CommandPlan, fmt: str) -> str:
-    g = _resolve_graph(plan.params)
     c = _resolve_constants(plan.params)
+    g = _resolve_graph(plan.params)
     k = plan.params["k"]
     p = spectral_radius(g, tol=plan.params["tol"])
     report = audit_extremal_lemmas(g, k, c, p, tol=plan.params["tol"])

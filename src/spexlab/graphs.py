@@ -109,15 +109,7 @@ class Graph:
         out = []
         full = (1 << self.n) - 1
         while seen != full:
-            start = _lowest_bit(full & ~seen)
-            comp = 1 << start
-            frontier = comp
-            while frontier:
-                nxt = 0
-                for v in _bits(frontier):
-                    nxt |= self.rows[v]
-                frontier = nxt & ~comp
-                comp |= nxt
+            comp = sum(_frontiers(self.rows, _lowest_bit(full & ~seen)))
             out.append(tuple(_bits(comp)))
             seen |= comp
         return out
@@ -192,6 +184,21 @@ def _twin_masks(rows: tuple[int, ...]) -> tuple[int, ...]:
         for v in members:
             masks[v] = mask
     return tuple(masks)
+
+
+def _frontiers(rows: tuple[int, ...], start: int) -> Iterator[int]:
+    """Breadth-first layers from ``start``, as bitmasks at distance 0, 1, 2, ...
+
+    The layers are disjoint, so their sum is the component of ``start``.
+    """
+    seen = frontier = 1 << start
+    while frontier:
+        yield frontier
+        nxt = 0
+        for v in _bits(frontier):
+            nxt |= rows[v]
+        frontier = nxt & ~seen
+        seen |= nxt
 
 
 def _lowest_bit(mask: int) -> int:
@@ -365,15 +372,6 @@ class ShellDecomposition:
 def shells(g: Graph, u: int) -> ShellDecomposition:
     if not 0 <= u < g.n:
         raise ParameterError(f"source vertex must satisfy 0 <= u < n, got u={u}, n={g.n}")
-    layers = []
-    seen = 1 << u
-    frontier = seen
-    while frontier:
-        layers.append(tuple(_bits(frontier)))
-        nxt = 0
-        for v in _bits(frontier):
-            nxt |= g.rows[v]
-        frontier = nxt & ~seen
-        seen |= nxt
-    full = (1 << g.n) - 1
-    return ShellDecomposition(u, tuple(layers), tuple(_bits(full & ~seen)))
+    layers = tuple(_frontiers(g.rows, u))
+    unreachable = ((1 << g.n) - 1) & ~sum(layers)
+    return ShellDecomposition(u, tuple(tuple(_bits(s)) for s in layers), tuple(_bits(unreachable)))

@@ -81,7 +81,7 @@ from .spectral import (
 )
 from .trees import Tree, generate_trees
 
-__all__ = ["SearchReport", "enumerate_graphs", "spex_search", "ex_search", "threads_from_env"]
+__all__ = ["SearchReport", "enumerate_graphs", "spex_search", "ex_search"]
 
 MAX_N = 10
 TIE_TOL = 1e-9
@@ -233,7 +233,7 @@ def _process(
     threshold = seed if state["best"] is None else max(state["best"], seed)
     if job["prune"] and _radius_upper_bound(g) < threshold - BOUND_SLACK:
         return missing
-    _offer(state, spectral_radius(g, tol=job["tol"]).radius, g, TIE_TOL)
+    _offer(state, spectral_radius(g).radius, g, TIE_TOL)
     return missing
 
 
@@ -259,7 +259,7 @@ def _scan(unit: tuple, split_depth: int = -1) -> tuple[dict, list[tuple]]:
     return state, cut
 
 
-def threads_from_env() -> int | None:
+def _threads_from_env() -> int | None:
     """The worker count set by SPEX_THREADS, or None when it is unset.
 
     Raises ParameterError for a value that is not an integer of at least 1.
@@ -278,7 +278,7 @@ def threads_from_env() -> int | None:
 
 def _resolve_workers(workers: int | None) -> int:
     if workers is None:
-        workers = threads_from_env() or os.cpu_count() or 1
+        workers = _threads_from_env() or os.cpu_count() or 1
     return workers
 
 
@@ -323,7 +323,6 @@ def spex_search(
     prune: bool = True,
     workers: int | None = None,
     split_depth: int = DEFAULT_SPLIT_DEPTH,
-    tol: float = DEFAULT_TOL,
 ) -> SearchReport:
     """Maximize the spectral radius over classes missing some family tree.
 
@@ -347,14 +346,13 @@ def spex_search(
         "prune": bool(prune),
         "connected_only": bool(connected_only),
         "seed": closed - BOUND_SLACK,
-        "tol": tol,
     }
     parts = _run_search(n, job, workers, split_depth)
     examined, in_family, best, argmax = _merge(parts, TIE_TOL)
 
     reference = complete_split_plus(n, k) if prime else complete_split(n, k)
     ref_g6 = canonical_g6(reference)
-    ref_lambda = spectral_radius(reference, tol=tol).radius
+    ref_lambda = spectral_radius(reference).radius
     comparison = {
         "closed_form": closed,
         "best_minus_closed_form": None if best is None else best - closed,
@@ -368,7 +366,7 @@ def spex_search(
     constants = default_constants(k)
     for g6 in argmax:
         g = graph6.decode(g6)
-        report = audit_extremal_lemmas(g, k, constants, spectral_radius(g, tol=tol))
+        report = audit_extremal_lemmas(g, k, constants, spectral_radius(g))
         audit[g6] = report.to_dicts()
     return SearchReport(
         kind="spex",
@@ -386,7 +384,7 @@ def spex_search(
             "connected_only": connected_only,
             "prune": prune,
             "split_depth": split_depth,
-            "tol": tol,
+            "tol": DEFAULT_TOL,
         },
     )
 
@@ -405,7 +403,7 @@ def ex_search(
         raise ParameterError(f"excluded tree needs at least 2 vertices, got {t}")
     if not t <= n <= MAX_N:
         raise ParameterError(f"ex search needs |T| <= n <= {MAX_N}, got |T|={t}, n={n}")
-    job = {"trees": (tree,), "prune": bool(prune), "connected_only": False, "seed": None, "tol": None}
+    job = {"trees": (tree,), "prune": bool(prune), "connected_only": False, "seed": None}
     parts = _run_search(n, job, workers, split_depth)
     examined, in_family, best, argmax = _merge(parts, 0)
     lower = (t - 2) * n / 2

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .canon import canonical_form
 from .errors import ConvergenceError, ParameterError
 from .graphs import Graph, shells
 
@@ -210,8 +211,6 @@ def _power(nbr, x, tol, max_iterations):
 
 
 def _component_key(g: Graph, comp: tuple[int, ...]):
-    from .canon import canonical_form
-
     return (canonical_form(g.subgraph(comp)).data, comp[0])
 
 

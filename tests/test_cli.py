@@ -41,11 +41,13 @@ def test_construct_json_schema():
     assert payload["edges"] == 14
 
 
-def test_spex_plan_and_usage_error():
+def test_spex_plan_and_usage_error(capsys):
     plan = parse_and_plan(["spex", "--n", "9", "--k", "2"])
     assert plan.command == "spex" and plan.params["n"] == 9
-    with pytest.raises(UsageError):
-        parse_and_plan(["spex", "--n", "9", "--k", "5"])
+    assert main(["spex", "--n", "9", "--k", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "needs n >= 12" in captured.err
 
 
 def test_trees_count():
@@ -233,17 +235,84 @@ def test_exit_codes(capsys):
 def test_bad_spex_threads_is_a_usage_error(monkeypatch, capsys):
     monkeypatch.setenv("SPEX_THREADS", "abc")
     assert main(["spex", "--n", "6", "--k", "2"]) == 2
-    assert "usage error: SPEX_THREADS" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "SPEX_THREADS" in captured.err
 
 
 def test_negative_workers_is_a_usage_error(capsys):
     assert main(["spex", "--n", "6", "--k", "2", "--workers", "-1"]) == 2
-    assert "usage error: --workers" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "workers must be at least 1" in captured.err
 
 
 def test_negative_split_depth_is_a_usage_error(capsys):
     assert main(["ex", "--n", "6", "--tree", encode(path_graph(4)), "--split-depth", "-1"]) == 2
-    assert "usage error: --split-depth" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "split_depth must be at least 0" in captured.err
+
+
+P4 = encode(path_graph(4))
+
+
+@pytest.mark.parametrize(
+    "argv,env",
+    [
+        (["trees", "--t", "0"], None),
+        (["trees", "--t", "17", "--count"], None),
+        (["membership", "--family", "S", "--n", "9", "--k", "2", "--t", "17"], None),
+        (["enumerate", "--n", "0"], None),
+        (["enumerate", "--n", "11", "--count"], None),
+        (["spex", "--n", "6", "--k", "1"], None),
+        (["spex", "--n", "9", "--k", "5"], None),
+        (["spex", "--n", "11", "--k", "2"], None),
+        (["spex", "--n", "11", "--k", "2", "--prime"], None),
+        (["ex", "--n", "1", "--tree", P4], None),
+        (["ex", "--n", "11", "--tree", P4], None),
+        (["spex", "--n", "6", "--k", "2", "--workers", "-1"], None),
+        (["ex", "--n", "6", "--tree", P4, "--workers", "-1"], None),
+        (["spex", "--n", "6", "--k", "2", "--split-depth", "-1"], None),
+        (["ex", "--n", "6", "--tree", P4, "--split-depth", "-1"], None),
+        (["spex", "--n", "6", "--k", "2"], "abc"),
+        (["ex", "--n", "6", "--tree", P4], "0"),
+        (["classify", "--family", "S", "--n", "12", "--k", "1"], None),
+        (["audit", "--family", "S", "--n", "12", "--k", "1"], None),
+    ],
+)
+def test_out_of_range_inputs_are_refused(argv, env, monkeypatch, capsys):
+    if env is not None:
+        monkeypatch.setenv("SPEX_THREADS", env)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "graph,digests",
+    [
+        (["--family", "S", "--n", "12", "--k", "2"],
+         ("1d6b92db9e49d4ab5a6c1602cf7bea6c09a93a22f039f984b929446a78ea0850",
+          "2a33a16fec9af5f2388fdc7c0dbabc848e0206664d02a6a745a889602d14e46f")),
+        (["--family", "S_plus", "--n", "400", "--k", "3"],
+         ("b882b89de3ba600cb30aef3ee8b877fd3e81335434ab866a384547e3c6698c52",
+          "cb3dbfcfcf8b0de951ef8bfb5430afd0f392de9913057b6f83d23ea07e62e641")),
+        (["--family", "cycle", "--t", "9", "--k", "2"],
+         ("88fb54489548c6d91b4a59166e606142454719764871862b4262a19a89a2d481",
+          "766c35e18ee18db7d561a117081011c47e90b97cd9322ed59031e384b2bd40c9")),
+        (["--family", "K_plus", "--a", "2", "--b", "40", "--k", "2"],
+         ("6756e486f150c7a101ceafedcdbbddf3c05dde942a98444388b60ad18e9bee75",
+          "33f7b916eb6e26b15f133ab8793eb159a449ec4bf4aa80508b8c9769a8c2375c")),
+    ],
+)
+def test_classify_output_pinned(graph, digests):
+    argv = ["classify"] + graph + ["--eta", "0.5", "--no-chain-check", "--format"]
+    for fmt, digest in zip(("json", "table"), digests):
+        _, text = run_cli(argv + [fmt])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_parse_and_plan_is_total():
