@@ -9,9 +9,10 @@ invocations never print partial results.
 
 Exit codes: 0 success, 2 usage or input error, 3 convergence failure.
 Numeric output uses 12 significant digits and repeated invocations are
-byte-identical. Output format defaults: graph-emitting subcommands print
-graph6 lines; report subcommands print a table on a terminal and JSON when
-piped; --format (alias --out) forces one.
+byte-identical. Output format defaults: a subcommand prints a table on a
+terminal when it offers one, and otherwise its first declared format
+(graph6 lines for the graph-emitting subcommands, JSON or JSON lines for
+the reports); --format (alias --out) forces one.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import (
 )
 from .graphs import FAMILIES, Graph, construct, family_parameters
 from .schemas import _round_floats, dump_json
-from .search import DEFAULT_SPLIT_DEPTH, ex_search, spex_search, enumerate_graphs
+from .search import ex_search, spex_search, enumerate_graphs
 from .spectral import (
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOL,
@@ -40,7 +41,7 @@ from .spectral import (
     constants_with,
     spectral_radius,
 )
-from .trees import bipartition, generate_trees, tree_from_graph
+from .trees import bipartition, check_order, generate_trees, tree_from_graph
 from .embed import _TARGETS, constructive_with_case, contains_tree, family_membership
 
 __all__ = ["CommandPlan", "parse_and_plan", "execute", "main", "dump_json"]
@@ -74,12 +75,14 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command")
 
     def fmt_arg(p, choices):
-        p.add_argument("--format", "--out", dest="fmt", choices=choices, default=None)
+        default = "table" if "table" in choices and sys.stdout.isatty() else choices[0]
+        p.add_argument("--format", "--out", dest="fmt", choices=choices, default=default)
         p.add_argument("--output", dest="out_path", default=None, metavar="PATH")
 
-    def graph_args(p, with_k=True, with_t=True):
-        p.add_argument("--graph", help="graph6 text, a file of graph6, or - for stdin")
-        p.add_argument("--family", choices=tuple(FAMILIES))
+    def graph_args(p, with_k=True, with_t=True, with_graph=True):
+        if with_graph:
+            p.add_argument("--graph", help="graph6 text, a file of graph6, or - for stdin")
+        p.add_argument("--family", choices=tuple(FAMILIES), required=not with_graph)
         p.add_argument("--n", type=int)
         if with_k:
             p.add_argument("--k", type=int)
@@ -92,7 +95,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--ground-truth", action="store_true", help="disable all pruning")
         p.add_argument("--workers", type=int, default=None)
-        p.add_argument("--split-depth", type=int, default=DEFAULT_SPLIT_DEPTH)
         fmt_arg(p, ("json", "table", "csv", "g6"))
 
     def constants_args(p):
@@ -103,7 +105,7 @@ def _build_parser() -> _Parser:
                        help="accept constant overrides that violate the recommended chain")
 
     p = sub.add_parser("construct", description="emit a named construction")
-    graph_args(p)
+    graph_args(p, with_graph=False)
     fmt_arg(p, ("g6", "json"))
 
     p = sub.add_parser("trees", description="all non-isomorphic trees on t vertices")
@@ -182,7 +184,7 @@ def parse_and_plan(argv: list[str]) -> CommandPlan:
     if ns.command is None:
         raise UsageError(f"a subcommand is required: one of {', '.join(_EXECUTORS)}")
     params = {k: v for k, v in vars(ns).items() if k not in ("command", "fmt", "out_path")}
-    plan = CommandPlan(ns.command, params, ns.fmt, getattr(ns, "out_path", None))
+    plan = CommandPlan(ns.command, params, ns.fmt, ns.out_path)
     _validate_plan(plan)
     return plan
 
@@ -190,12 +192,8 @@ def parse_and_plan(argv: list[str]) -> CommandPlan:
 def _validate_plan(plan: CommandPlan) -> None:
     """The command line's own rule: the shape of the graph input."""
     p = plan.params
-    if plan.command == "construct":
-        if p["family"] is None:
-            raise UsageError("construct needs --family with its parameters")
-    elif plan.command in ("spectral", "classify", "contains", "membership", "audit"):
-        if (p["graph"] is None) == (p["family"] is None):
-            raise UsageError("give exactly one graph input: --graph, or --family with parameters")
+    if "graph" in p and (p["graph"] is None) == (p["family"] is None):
+        raise UsageError("give exactly one graph input: --graph, or --family with parameters")
 
 
 def _read_graph_arg(value: str) -> Graph:
@@ -230,16 +228,6 @@ def _resolve_constants(params: dict):
     return c
 
 
-def _default_fmt(plan: CommandPlan) -> str:
-    if plan.fmt:
-        return plan.fmt
-    if plan.command in ("construct", "trees", "enumerate"):
-        return "g6"
-    if plan.command == "audit":
-        return "table" if sys.stdout.isatty() else "jsonl"
-    return "table" if sys.stdout.isatty() else "json"
-
-
 def _table(payload: dict, indent: str = "") -> str:
     lines = []
     for key, value in payload.items():
@@ -264,8 +252,7 @@ def _emit(payload: dict, fmt: str) -> str:
 
 def execute(plan: CommandPlan, out=None) -> int:
     """Run a plan; prints nothing until the computation fully succeeded."""
-    fmt = _default_fmt(plan)
-    text = _EXECUTORS[plan.command](plan, fmt)
+    text = _EXECUTORS[plan.command](plan, plan.fmt)
     if plan.out_path:
         with open(plan.out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -342,8 +329,9 @@ def _exec_contains(plan: CommandPlan, fmt: str) -> str:
 
 
 def _exec_membership(plan: CommandPlan, fmt: str) -> str:
-    fam = generate_trees(plan.params["t"])
+    check_order(plan.params["t"])
     g = _resolve_graph(plan.params)
+    fam = generate_trees(plan.params["t"])
     m = family_membership(g, fam)
     payload = {
         "t": fam.t,
@@ -389,7 +377,6 @@ def _exec_spex(plan: CommandPlan, fmt: str) -> str:
         connected_only=p["connected_only"],
         prune=not p["ground_truth"],
         workers=p["workers"],
-        split_depth=p["split_depth"],
     )
     return _report_text(report, fmt)
 
@@ -401,7 +388,6 @@ def _exec_ex(plan: CommandPlan, fmt: str) -> str:
         p["n"], tree,
         prune=not p["ground_truth"],
         workers=p["workers"],
-        split_depth=p["split_depth"],
     )
     return _report_text(report, fmt)
 

@@ -83,7 +83,9 @@ def contains_tree(host: Graph, tree: Tree) -> Embedding | None:
     a retry on a twin cannot succeed. This keeps misses polynomial on hosts
     with large interchangeable classes (independent parts, bipartite sides).
     The search is depth-first over ascending candidates, so the embedding
-    returned is the first one in that order.
+    returned is the first one in that order. It is one loop over the levels
+    with each level's remaining candidates kept in ``cands``, so its depth
+    is not bounded by the interpreter's recursion limit.
     """
     t = tree.graph.n
     if t > host.n:
@@ -92,28 +94,34 @@ def contains_tree(host: Graph, tree: Tree) -> Embedding | None:
     hdeg = host.degrees()
     hrows = host.rows
     twins = host.twin_masks
-    everyone = (1 << host.n) - 1
     assign = [0] * t
-
-    def place(i: int, used: int) -> bool:
-        if i == t:
-            return True
+    cands = [0] * t
+    cands[0] = (1 << host.n) - 1
+    i = used = 0
+    while i < t:
         need = pdeg[i]
-        cand = (hrows[assign[parent_pos[i]]] if i else everyone) & ~used
+        cand = cands[i]
         while cand:
             low = cand & -cand
             hv = low.bit_length() - 1
-            if hdeg[hv] < need:
-                cand ^= low
-                continue
-            assign[i] = hv
-            if place(i + 1, used | low):
-                return True
-            cand &= ~twins[hv]
-        return False
-
-    if not place(0, 0):
-        return None
+            if hdeg[hv] >= need:
+                break
+            cand ^= low
+        else:
+            # level i is exhausted: undo level i - 1 and drop its twin class
+            if not i:
+                return None
+            i -= 1
+            hv = assign[i]
+            used ^= 1 << hv
+            cands[i] &= ~twins[hv]
+            continue
+        cands[i] = cand
+        assign[i] = hv
+        used |= low
+        i += 1
+        if i < t:
+            cands[i] = hrows[assign[parent_pos[i]]] & ~used
     mapping = [0] * t
     for i, v in enumerate(order):
         mapping[v] = assign[i]

@@ -21,8 +21,8 @@ rejected; the stream and every report are unchanged.
 
 One walker, ``_walk``, is the only copy of that DFS. It has two users:
 ``enumerate_graphs`` filters its stream, and ``_scan`` walks a subtree with
-``_process`` deciding descent; walking from the empty graph, ``_scan`` also
-cuts the work units.
+``_process`` deciding descent; given a cut depth, ``_scan`` also cuts the
+work units.
 
 ``spex_search`` and ``ex_search`` are one pipeline fed two job records. A job
 names the excluded trees (the whole family for spex, the one tree for ex),
@@ -43,17 +43,21 @@ parent, so every embedding into the parent is one into the child, and the
 child misses a subset of the trees its parent misses. ``_process`` returns
 the indices of the family trees a class misses, the walker carries them to
 its children, and a child tests only those, in family order. The root of a
-walk, which is also the root of each work unit, tests the whole family. The
-missing sets are exact with pruning on or off.
+walk tests the whole family; that is each unit root, and each class the
+parent examines while splitting. The missing sets are exact with pruning on
+or off.
 
-Work splitting: the parent process walks the tree down to a fixed edge
-depth, ``split_depth``, examining every class above it. Each class reached
-at that depth is not examined there; it becomes the root of one work unit,
-which a worker walks and examines whole. Depth 0 makes the whole tree one
-unit, and a depth beyond every graph's edge count cuts none. The merge
-(sums, max, tie filtering, sorted argmax) is associative and commutative, so
-results are identical for any worker count and any split depth (the split
-depth is echoed in the report parameters, the worker count is not).
+Work splitting follows from the worker count. One worker walks the whole
+tree in process. With w > 1 workers the parent examines the tree one edge
+level at a time until a level holds ``UNITS_PER_WORKER`` * w classes or the
+tree ends; each class on that level roots one work unit, which a worker
+walks and examines whole, and the pool hands the units out one at a time.
+``UNITS_PER_WORKER`` = 16 is measured on a 2-CPU machine, spex with k = 2
+and two workers: 8 and 16 tie at n = 8 (0.48 and 0.49 s; one worker 0.65 s),
+16 wins at n = 9 (2.34 against 2.67 s; one worker 4.06 s) and at n = 10
+(19.4 against 22.9 s; one worker 35.1 s). The merge (sums, max, tie
+filtering, sorted argmax) is associative and commutative, so results are
+identical for any worker count.
 """
 
 from __future__ import annotations
@@ -86,7 +90,7 @@ __all__ = ["SearchReport", "enumerate_graphs", "spex_search", "ex_search"]
 MAX_N = 10
 TIE_TOL = 1e-9
 BOUND_SLACK = 1e-6
-DEFAULT_SPLIT_DEPTH = 2
+UNITS_PER_WORKER = 16
 
 
 def _pairs(n: int) -> list[tuple[int, int]]:
@@ -237,26 +241,26 @@ def _process(
     return missing
 
 
-def _scan(unit: tuple, split_depth: int = -1) -> tuple[dict, list[tuple]]:
+def _scan(unit: tuple, cut: int = -1) -> tuple[dict, list[tuple]]:
     """Walk the subtree below a unit's root and examine its classes.
 
-    A class at edge depth ``split_depth`` below the root is not examined: it
-    is returned, in walk order, as the root of a new unit. Workers scan
-    their units whole, with no split.
+    A class at edge depth ``cut`` below the root is not examined: it is
+    returned, in walk order, as the root of a new unit. Workers scan their
+    units whole, with no cut.
     """
     n, rows, last, job = unit
     state = _fresh_state()
-    cut = []
+    roots = []
 
     def visit(g: Graph, last: int, depth: int, carried):
-        if depth == split_depth:
-            cut.append((n, g.rows, last, job))
+        if depth == cut:
+            roots.append((n, g.rows, last, job))
             return None
         return _process(state, g, job, carried)
 
     for _ in _walk(n, visit, rows, last):
         pass
-    return state, cut
+    return state, roots
 
 
 def _threads_from_env() -> int | None:
@@ -282,19 +286,22 @@ def _resolve_workers(workers: int | None) -> int:
     return workers
 
 
-def _run_search(n: int, job: dict, workers: int | None, split_depth: int) -> list[dict]:
+def _run_search(n: int, job: dict, workers: int | None) -> list[dict]:
     if workers is not None and workers < 1:
         raise ParameterError(f"workers must be at least 1, got {workers}")
-    if split_depth < 0:
-        raise ParameterError(f"split_depth must be at least 0, got {split_depth}")
     workers = _resolve_workers(workers)
-    parent, units = _scan((n, (), -1, job), split_depth)
-    if workers <= 1 or len(units) <= 1:
-        parts = [_scan(u) for u in units]
-    else:
-        with get_context("fork").Pool(min(workers, len(units))) as pool:
-            parts = pool.map(_scan, units)
-    return [parent] + [state for state, _ in parts]
+    root = (n, (), -1, job)
+    if workers == 1:
+        return [_scan(root)[0]]
+    parts, units = [], [root]
+    while units and len(units) < UNITS_PER_WORKER * workers:
+        level = [_scan(u, 1) for u in units]
+        parts += [state for state, _ in level]
+        units = [r for _, roots in level for r in roots]
+    if units:
+        with get_context("fork").Pool(workers) as pool:
+            parts += [state for state, _ in pool.imap_unordered(_scan, units, chunksize=1)]
+    return parts
 
 
 def _merge(parts: list[dict], tie_tol: float) -> tuple[int, int, float | int | None, tuple]:
@@ -322,7 +329,6 @@ def spex_search(
     connected_only: bool = False,
     prune: bool = True,
     workers: int | None = None,
-    split_depth: int = DEFAULT_SPLIT_DEPTH,
 ) -> SearchReport:
     """Maximize the spectral radius over classes missing some family tree.
 
@@ -347,7 +353,7 @@ def spex_search(
         "connected_only": bool(connected_only),
         "seed": closed - BOUND_SLACK,
     }
-    parts = _run_search(n, job, workers, split_depth)
+    parts = _run_search(n, job, workers)
     examined, in_family, best, argmax = _merge(parts, TIE_TOL)
 
     reference = complete_split_plus(n, k) if prime else complete_split(n, k)
@@ -383,7 +389,6 @@ def spex_search(
         params={
             "connected_only": connected_only,
             "prune": prune,
-            "split_depth": split_depth,
             "tol": DEFAULT_TOL,
         },
     )
@@ -395,7 +400,6 @@ def ex_search(
     *,
     prune: bool = True,
     workers: int | None = None,
-    split_depth: int = DEFAULT_SPLIT_DEPTH,
 ) -> SearchReport:
     """Maximize the edge count over classes not containing the given tree."""
     t = tree.graph.n
@@ -404,7 +408,7 @@ def ex_search(
     if not t <= n <= MAX_N:
         raise ParameterError(f"ex search needs |T| <= n <= {MAX_N}, got |T|={t}, n={n}")
     job = {"trees": (tree,), "prune": bool(prune), "connected_only": False, "seed": None}
-    parts = _run_search(n, job, workers, split_depth)
+    parts = _run_search(n, job, workers)
     examined, in_family, best, argmax = _merge(parts, 0)
     lower = (t - 2) * n / 2
     upper = (t - 2) * n
@@ -426,5 +430,5 @@ def ex_search(
         argmax=argmax,
         comparison=comparison,
         audit={},
-        params={"prune": prune, "split_depth": split_depth},
+        params={"prune": prune},
     )

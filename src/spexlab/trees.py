@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 from .errors import ParameterError
 from .graphs import Graph, from_edges
 
-__all__ = ["Tree", "TreeFamily", "generate_trees", "bipartition", "tree_from_graph"]
+__all__ = ["Tree", "TreeFamily", "check_order", "generate_trees", "bipartition", "tree_from_graph"]
 
 MAX_VERTICES = 16
 
@@ -186,11 +186,16 @@ def _tree_from_sequence(seq: list[int]) -> Tree:
     return Tree(from_edges(len(seq), _edges_from_sequence(seq)), part_a, part_b)
 
 
+def check_order(t: int) -> None:
+    """Refuse a tree order outside 1 <= t <= MAX_VERTICES with ParameterError."""
+    if not 1 <= t <= MAX_VERTICES:
+        raise ParameterError(f"tree order must satisfy 1 <= t <= {MAX_VERTICES}, got t={t}")
+
+
 @lru_cache(maxsize=None)
 def generate_trees(t: int) -> TreeFamily:
     """All non-isomorphic free trees on t vertices, 1 <= t <= 16."""
-    if not 1 <= t <= MAX_VERTICES:
-        raise ParameterError(f"tree order must satisfy 1 <= t <= {MAX_VERTICES}, got t={t}")
+    check_order(t)
     trees = []
     for seq in _rooted_sequences(t):
         size, start = _largest_branch(seq)

@@ -161,9 +161,8 @@ def test_criterion_7_spex_certification():
     started = time.perf_counter()
     records = {}
     for n in (6, 7, 8, 9):
-        split_depth = 4 if n == 9 else 2
-        first = spex_search(n, 2, workers=4, split_depth=split_depth)
-        second = spex_search(n, 2, workers=1, split_depth=split_depth)
+        first = spex_search(n, 2, workers=4)
+        second = spex_search(n, 2, workers=1)
         assert first.to_json() == second.to_json()
         report = first
         assert report.best_value >= split_radius_closed_form(n, 2) - 1e-9

@@ -3,9 +3,11 @@ import io
 import json
 import random
 import string
+import sys
 
 import pytest
 
+from spexlab import cli
 from spexlab.cli import dump_json, execute, main, parse_and_plan
 from spexlab.errors import UsageError
 from spexlab.graph6 import encode
@@ -175,11 +177,11 @@ def test_spex_json_schema_and_g6():
         (["spex", "--n", "8", "--k", "2", "--format", "csv"],
          "aff0a3df1e2c5a7b910a2b1dccec54eb7fdd8f4f8cfb77710a659c389c0dff06"),
         (["spex", "--n", "8", "--k", "2", "--format", "table"],
-         "4a8b18232b8100eff03617ce20a810ef8c2ffe9d0a7fb0039974209ab300a27f"),
+         "2cc9df86ca28412d915a57e50c04d43f301639d9e5c002b2e7c6f8a6a5c692ff"),
         (["ex", "--n", "8", "--tree", "DhG", "--format", "csv"],
          "50bb0fd2d86b1bbe449539818aeb4ba5954441cdd78eee83bd362a4ed9f5098e"),
         (["ex", "--n", "8", "--tree", "DhG", "--format", "table"],
-         "852ec3cd4dbaaacb9b5b2c394d0a7d82d4d15aea13fb81cc84df86180063ccb8"),
+         "54e12b28cd9d73c195b5db3cc2dd2d13ec22d1608d35d8aee2108f94cb1deb66"),
     ],
 )
 def test_search_text_formats_pinned(argv, digest):
@@ -247,13 +249,6 @@ def test_negative_workers_is_a_usage_error(capsys):
     assert "workers must be at least 1" in captured.err
 
 
-def test_negative_split_depth_is_a_usage_error(capsys):
-    assert main(["ex", "--n", "6", "--tree", encode(path_graph(4)), "--split-depth", "-1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "split_depth must be at least 0" in captured.err
-
-
 P4 = encode(path_graph(4))
 
 
@@ -273,8 +268,9 @@ P4 = encode(path_graph(4))
         (["ex", "--n", "11", "--tree", P4], None),
         (["spex", "--n", "6", "--k", "2", "--workers", "-1"], None),
         (["ex", "--n", "6", "--tree", P4, "--workers", "-1"], None),
-        (["spex", "--n", "6", "--k", "2", "--split-depth", "-1"], None),
-        (["ex", "--n", "6", "--tree", P4, "--split-depth", "-1"], None),
+        (["spex", "--n", "6", "--k", "2", "--split-depth", "2"], None),
+        (["construct", "--graph", "D~{", "--family", "S", "--n", "5", "--k", "2",
+          "--format", "json"], None),
         (["spex", "--n", "6", "--k", "2"], "abc"),
         (["ex", "--n", "6", "--tree", P4], "0"),
         (["classify", "--family", "S", "--n", "12", "--k", "1"], None),
@@ -289,6 +285,47 @@ def test_out_of_range_inputs_are_refused(argv, env, monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
     assert "Traceback" not in captured.err
+
+
+def test_membership_refuses_a_bad_graph_before_building_the_family(monkeypatch, capsys):
+    def no_family(t):
+        raise AssertionError("the tree family was built")
+
+    monkeypatch.setattr(cli, "generate_trees", no_family)
+    assert main(["membership", "--graph", "???", "--t", "16"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+class _Terminal(io.StringIO):
+    def isatty(self):
+        return True
+
+
+# each subcommand's default format (piped, on a terminal)
+@pytest.mark.parametrize(
+    "argv,piped,terminal",
+    [
+        (["construct", "--family", "S", "--n", "5", "--k", "2"], "g6", "g6"),
+        (["trees", "--t", "5"], "g6", "g6"),
+        (["spectral", "--family", "S", "--n", "6", "--k", "2"], "json", "table"),
+        (["classify", "--family", "S", "--n", "6", "--k", "2"], "json", "table"),
+        (["contains", "--family", "S", "--n", "6", "--k", "2", "--tree", P4], "json", "table"),
+        (["membership", "--family", "S", "--n", "6", "--k", "2", "--t", "5"], "json", "table"),
+        (["embed-lemma", "--tree", P4, "--target", "K", "--a", "2", "--b", "3"], "json", "table"),
+        (["spex", "--n", "6", "--k", "2", "--workers", "1"], "json", "table"),
+        (["ex", "--n", "5", "--tree", P4, "--workers", "1"], "json", "table"),
+        (["audit", "--family", "S", "--n", "6", "--k", "2"], "jsonl", "table"),
+        (["enumerate", "--n", "3"], "g6", "g6"),
+    ],
+)
+def test_default_formats(argv, piped, terminal, monkeypatch):
+    def output(args, stdout):
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(args) == 0
+        return stdout.getvalue()
+
+    assert output(argv, io.StringIO()) == output(argv + ["--format", piped], io.StringIO())
+    assert output(argv, _Terminal()) == output(argv + ["--format", terminal], io.StringIO())
 
 
 @pytest.mark.parametrize(

@@ -225,6 +225,13 @@ def test_target_shape_mismatches():
         embed_constructive(path_tree(6), "K_star", 2, 5)
 
 
+def test_containment_depth_is_not_bounded_by_the_recursion_limit():
+    # one level per pattern vertex, past the interpreter's default limit of 1000
+    host = path_graph(1100)
+    emb = contains_tree(host, tree_from_graph(path_graph(1100)))
+    assert emb is not None and verify_embedding(host, host, emb)
+
+
 def test_verify_embedding_rejects_bad_maps():
     host = complete_bipartite(3, 5)
     pattern = path_graph(4)

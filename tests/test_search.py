@@ -140,29 +140,70 @@ def test_ex_argmax_reverifies():
 EX_TREE = tree_of(from_edges(5, [(0, 1), (1, 2), (2, 3), (2, 4)]))
 
 
-def _without_params(report):
-    return {k: v for k, v in report.to_dict().items() if k != "params"}
-
-
-# depth 0 makes the whole tree one unit; depth 40 exceeds every edge count
-@pytest.mark.parametrize("split_depth,workers", [(0, 1), (1, 1), (2, 1), (3, 1), (40, 1), (3, 2)])
-def test_ex_ground_truth_matches_pruned(split_depth, workers):
-    a = ex_search(7, EX_TREE, prune=False, workers=workers, split_depth=split_depth)
-    b = ex_search(7, EX_TREE, prune=True, workers=workers, split_depth=split_depth)
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_ex_ground_truth_matches_pruned(workers):
+    a = ex_search(7, EX_TREE, prune=False, workers=workers)
+    b = ex_search(7, EX_TREE, prune=True, workers=workers)
     assert a.candidates_examined == CLASS_COUNTS[7]
     assert a.best_value == b.best_value
     assert a.argmax == b.argmax
     assert a.in_family_count == b.in_family_count
-    base = ex_search(7, EX_TREE, prune=False, workers=1)
-    assert _without_params(a) == _without_params(base)
+    assert a.to_json() == ex_search(7, EX_TREE, prune=False, workers=1).to_json()
+    assert b.to_json() == ex_search(7, EX_TREE, workers=1).to_json()
+
+
+def test_parent_examines_every_class_when_the_tree_is_small(monkeypatch):
+    # 11 classes on 4 vertices never reach 4 * UNITS_PER_WORKER units on a level
+    def no_pool(method):
+        raise AssertionError("no pool expected")
+
+    monkeypatch.setattr(search, "get_context", no_pool)
+    p4 = tree_of(path_graph(4))
+    a = ex_search(4, p4, prune=False, workers=4)
+    assert a.candidates_examined == CLASS_COUNTS[4]
+    assert a.to_json() == ex_search(4, p4, prune=False, workers=1).to_json()
+
+
+class _SerialPool:
+    """Stands in for a process pool: records the units, scans them in reverse."""
+
+    def __init__(self, processes):
+        self.processes, self.units = processes, []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap_unordered(self, fn, units, chunksize):
+        assert chunksize == 1
+        self.units = list(units)
+        return map(fn, reversed(self.units))
+
+
+def test_split_gives_every_worker_enough_units(monkeypatch):
+    pools = []
+
+    class Context:
+        def Pool(self, processes):
+            pools.append(_SerialPool(processes))
+            return pools[-1]
+
+    monkeypatch.setattr(search, "get_context", lambda method: Context())
+    report = spex_search(7, 2, workers=2).to_json()
+    (pool,) = pools
+    assert pool.processes == 2
+    assert len(pool.units) >= 2 * search.UNITS_PER_WORKER
+    assert report == spex_search(7, 2, workers=1).to_json()
 
 
 @pytest.mark.parametrize(
     "n,prune,digest",
     [
-        (7, True, "fcc9e412bc5e08631691f85999ddd77777787b0349d54157080a9b11f5a1414a"),
-        (7, False, "4fae61caffa3f349cd5fb7186d508bb9cf3bf6c04a270a7f72d514c24a4e488d"),
-        (8, True, "ee97176274e23f57f9dc628d12266c9ec64a6c44ebe2cd9d23cc33a74f948ad6"),
+        (7, True, "4ef0567d4a764d2e0a14d6afb2dfb89088800629d1e7d68f0aa549b7e224808d"),
+        (7, False, "2e362d6fc71f0904010b4aca97539596fe476dde7bb4dcd0185378674e74a36c"),
+        (8, True, "e5a9959ecec58a2d8c61903b8bcc5e2bb7d088623196912fcf38cbc3adc030b3"),
     ],
 )
 def test_ex_reports_pinned(n, prune, digest):
@@ -204,7 +245,7 @@ def test_spex_6_2_beats_split_graph():
 
 
 def test_spex_9_2_is_the_split_graph():
-    r = spex_search(9, 2, workers=1, split_depth=4)
+    r = spex_search(9, 2, workers=1)
     assert r.comparison["argmax_is_reference"]
     assert r.best_value == pytest.approx(split_radius_closed_form(9, 2), abs=1e-9)
     assert r.in_family_count > 0
@@ -233,15 +274,13 @@ def test_spex_ground_truth_matches_pruned():
 
 
 def test_spex_reports_identical_across_workers_and_split():
+    # the split follows the worker count, so each count cuts its own units
     base = spex_search(7, 2, workers=1).to_json()
     assert hashlib.sha256(base.encode()).hexdigest() == (
-        "b3cfdcf9be5d3c3baf298b73b3a77c9666421de75e9beea803894fe2233693b1"
+        "01bbe43e4b433bbaeb433c995cfdd2fe37da3488fc97caa88a5da48f84c673a8"
     )
-    assert spex_search(7, 2, workers=4).to_json() == base
-    a = spex_search(7, 2, workers=1, split_depth=5)
-    assert a.to_dict()["argmax"] == spex_search(7, 2, workers=1).to_dict()["argmax"]
-    assert a.best_value == spex_search(7, 2, workers=1).best_value
-    assert a.candidates_examined == spex_search(7, 2, workers=1).candidates_examined
+    for workers in (2, 4):
+        assert spex_search(7, 2, workers=workers).to_json() == base
 
 
 @pytest.mark.parametrize("prune", [True, False])
@@ -289,7 +328,7 @@ def test_spex_8_2_reference_among_exact_ties():
     assert not r.comparison["argmax_is_reference"]
     assert len(r.argmax) == 15
     assert hashlib.sha256(r.to_json().encode()).hexdigest() == (
-        "e9b6ae44a36636f85cd69d4c836020e34e15dd47892e93acaaa7e7f37e5870f6"
+        "6661870fad530924fb4c0916ceeb17593c84421d73c3542686fa90a6f38448ab"
     )
 
 
@@ -298,7 +337,7 @@ def test_spex_9_2_prime_frontier():
     # the empirical frontier for the prime family: at n = 9 the winners all
     # have radius 5 (a K_6 beside a small component, or 5-regular plus an
     # isolated vertex); the augmented split graph is not yet extremal
-    r = spex_search(9, 2, prime=True, workers=1, split_depth=4)
+    r = spex_search(9, 2, prime=True, workers=1)
     assert r.best_value == pytest.approx(5.0, abs=1e-9)
     assert not r.comparison["argmax_is_reference"]
     assert not r.comparison["argmax_contains_reference"]
@@ -354,18 +393,12 @@ def test_bad_spex_threads_is_a_parameter_error(monkeypatch, value):
 
 
 @pytest.mark.parametrize(
-    "search,args,kwargs,match",
-    [
-        (spex_search, (6, 2), {"workers": 0}, "workers"),
-        (spex_search, (6, 2), {"workers": -5}, "workers"),
-        (spex_search, (6, 2), {"split_depth": -1}, "split_depth"),
-        (ex_search, (6, EX_TREE), {"workers": 0}, "workers"),
-        (ex_search, (6, EX_TREE), {"split_depth": -1}, "split_depth"),
-    ],
+    "search,args,workers",
+    [(spex_search, (6, 2), 0), (spex_search, (6, 2), -5), (ex_search, (6, EX_TREE), 0)],
 )
-def test_bad_workers_or_split_depth_is_a_parameter_error(search, args, kwargs, match):
-    with pytest.raises(ParameterError, match=match):
-        search(*args, **kwargs)
+def test_bad_workers_is_a_parameter_error(search, args, workers):
+    with pytest.raises(ParameterError, match="workers"):
+        search(*args, workers=workers)
 
 
 def test_walker_is_lazy_and_tests_through_the_module_global(monkeypatch):
