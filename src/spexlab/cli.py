@@ -1,9 +1,9 @@
 """Command line front end.
 
 One subcommand per operation group: construct, trees, spectral, classify,
-contains, membership, embed-lemma, spex, ex, audit, enumerate. Parsing and
-planning never compute anything: planning checks only the command line's
-shape; every range is checked once, by the library, before it computes.
+contains, membership, embed-lemma, spex, ex, audit, enumerate. Parsing
+never computes anything: it checks only the command line's shape; every
+range is checked once, by the library, before it computes.
 Execution buffers its entire output and emits it only on success, so failed
 invocations never print partial results.
 
@@ -21,7 +21,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 
 from . import graph6
 from .errors import (
@@ -44,7 +44,7 @@ from .spectral import (
 from .trees import bipartition, check_order, generate_trees, tree_from_graph
 from .embed import _TARGETS, constructive_with_case, contains_tree, family_membership
 
-__all__ = ["CommandPlan", "parse_and_plan", "execute", "main", "dump_json"]
+__all__ = ["execute", "main", "dump_json"]
 
 
 def fmt_num(x) -> str:
@@ -55,16 +55,6 @@ def fmt_num(x) -> str:
     return f"{x:.12g}"
 
 
-@dataclass
-class CommandPlan:
-    """A validated subcommand invocation: what to run, on what, output how."""
-
-    command: str
-    params: dict = field(default_factory=dict)
-    fmt: str | None = None
-    out_path: str | None = None
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -72,7 +62,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="spexlab", description=__doc__, add_help=True)
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(required=True)
+
+    def command(name, run, description):
+        p = sub.add_parser(name, description=description)
+        p.set_defaults(run=run)
+        return p
 
     def fmt_arg(p, choices):
         default = "table" if "table" in choices and sys.stdout.isatty() else choices[0]
@@ -80,9 +75,10 @@ def _build_parser() -> _Parser:
         p.add_argument("--output", dest="out_path", default=None, metavar="PATH")
 
     def graph_args(p, with_k=True, with_t=True, with_graph=True):
+        source = p.add_mutually_exclusive_group(required=True)
         if with_graph:
-            p.add_argument("--graph", help="graph6 text, a file of graph6, or - for stdin")
-        p.add_argument("--family", choices=tuple(FAMILIES), required=not with_graph)
+            source.add_argument("--graph", help="graph6 text, a file of graph6, or - for stdin")
+        source.add_argument("--family", choices=tuple(FAMILIES))
         p.add_argument("--n", type=int)
         if with_k:
             p.add_argument("--k", type=int)
@@ -104,23 +100,23 @@ def _build_parser() -> _Parser:
         p.add_argument("--no-chain-check", action="store_true",
                        help="accept constant overrides that violate the recommended chain")
 
-    p = sub.add_parser("construct", description="emit a named construction")
+    p = command("construct", _exec_construct, "emit a named construction")
     graph_args(p, with_graph=False)
     fmt_arg(p, ("g6", "json"))
 
-    p = sub.add_parser("trees", description="all non-isomorphic trees on t vertices")
+    p = command("trees", _exec_trees, "all non-isomorphic trees on t vertices")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--count", action="store_true")
     fmt_arg(p, ("g6", "json"))
 
-    p = sub.add_parser("spectral", description="spectral radius and Perron vector")
+    p = command("spectral", _exec_spectral, "spectral radius and Perron vector")
     graph_args(p)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--max-iterations", type=int, default=DEFAULT_MAX_ITERATIONS)
     p.add_argument("--with-vector", action="store_true")
     fmt_arg(p, ("json", "table"))
 
-    p = sub.add_parser("classify", description="weight classes of the Perron vector")
+    p = command("classify", _exec_classify, "weight classes of the Perron vector")
     graph_args(p, with_k=False)
     p.add_argument("--k", type=int, required=True,
                    help="weight-class parameter; doubles as the family k for --family")
@@ -128,34 +124,34 @@ def _build_parser() -> _Parser:
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     fmt_arg(p, ("json", "table"))
 
-    p = sub.add_parser("contains", description="decide tree containment")
+    p = command("contains", _exec_contains, "decide tree containment")
     graph_args(p)
     p.add_argument("--tree", required=True, help="graph6 of the tree (or file / -)")
     fmt_arg(p, ("json", "table"))
 
-    p = sub.add_parser("membership", description="does the graph miss a tree of the family")
+    p = command("membership", _exec_membership, "does the graph miss a tree of the family")
     graph_args(p, with_t=False)
     p.add_argument("--t", type=int, required=True, help="tree order of the family")
     fmt_arg(p, ("json", "table"))
 
-    p = sub.add_parser("embed-lemma", description="constructive embedding into a bipartite host")
+    p = command("embed-lemma", _exec_embed_lemma, "constructive embedding into a bipartite host")
     p.add_argument("--tree", required=True)
     p.add_argument("--target", required=True, choices=_TARGETS)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     fmt_arg(p, ("json", "table"))
 
-    p = sub.add_parser("spex", description="brute-force spectral Turan search")
+    p = command("spex", _exec_spex, "brute-force spectral Turan search")
     search_args(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--prime", action="store_true")
     p.add_argument("--connected-only", action="store_true")
 
-    p = sub.add_parser("ex", description="brute-force edge Turan search")
+    p = command("ex", _exec_ex, "brute-force edge Turan search")
     search_args(p)
     p.add_argument("--tree", required=True)
 
-    p = sub.add_parser("audit", description="recompute the structural inequalities")
+    p = command("audit", _exec_audit, "recompute the structural inequalities")
     graph_args(p, with_k=False)
     p.add_argument("--k", type=int, required=True,
                    help="class parameter; doubles as the family k for --family")
@@ -163,37 +159,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     fmt_arg(p, ("jsonl", "table"))
 
-    p = sub.add_parser("enumerate", description="one graph per isomorphism class")
+    p = command("enumerate", _exec_enumerate, "one graph per isomorphism class")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--connected-only", action="store_true")
     p.add_argument("--count", action="store_true")
     fmt_arg(p, ("g6", "json"))
 
     return parser
-
-
-def parse_and_plan(argv: list[str]) -> CommandPlan:
-    """Validate argv into a plan without computing or touching files."""
-    parser = _build_parser()
-    try:
-        ns = parser.parse_args(argv)
-    except UsageError:
-        raise
-    except argparse.ArgumentError as exc:
-        raise UsageError(str(exc))
-    if ns.command is None:
-        raise UsageError(f"a subcommand is required: one of {', '.join(_EXECUTORS)}")
-    params = {k: v for k, v in vars(ns).items() if k not in ("command", "fmt", "out_path")}
-    plan = CommandPlan(ns.command, params, ns.fmt, ns.out_path)
-    _validate_plan(plan)
-    return plan
-
-
-def _validate_plan(plan: CommandPlan) -> None:
-    """The command line's own rule: the shape of the graph input."""
-    p = plan.params
-    if "graph" in p and (p["graph"] is None) == (p["family"] is None):
-        raise UsageError("give exactly one graph input: --graph, or --family with parameters")
 
 
 def _read_graph_arg(value: str) -> Graph:
@@ -210,18 +182,16 @@ def _read_graph_arg(value: str) -> Graph:
     return g
 
 
-def _resolve_graph(params: dict) -> Graph:
-    if params.get("graph") is not None:
-        return _read_graph_arg(params["graph"])
-    family = params["family"]
-    wanted = {name: params.get(name) for name in family_parameters(family)}
-    return construct(family, **wanted)
+def _resolve_graph(ns) -> Graph:
+    if ns.family is None:
+        return _read_graph_arg(ns.graph)
+    wanted = {name: getattr(ns, name) for name in family_parameters(ns.family)}
+    return construct(ns.family, **wanted)
 
 
-def _resolve_constants(params: dict):
-    overrides = {key: params.get(key) for key in ("eta", "epsilon", "alpha")}
-    c = constants_with(params["k"], **overrides)
-    if not c.satisfies_chain and not params.get("no_chain_check"):
+def _resolve_constants(ns):
+    c = constants_with(ns.k, eta=ns.eta, epsilon=ns.epsilon, alpha=ns.alpha)
+    if not c.satisfies_chain and not ns.no_chain_check:
         raise UsageError(
             "constant overrides violate the recommended chain; pass --no-chain-check to proceed"
         )
@@ -250,23 +220,24 @@ def _emit(payload: dict, fmt: str) -> str:
     return _table(payload) + "\n"
 
 
-def execute(plan: CommandPlan, out=None) -> int:
-    """Run a plan; prints nothing until the computation fully succeeded."""
-    text = _EXECUTORS[plan.command](plan, plan.fmt)
-    if plan.out_path:
-        with open(plan.out_path, "w", encoding="utf-8") as fh:
+def execute(argv: list[str], out=None) -> int:
+    """Parse and run argv; prints nothing until the computation fully succeeded."""
+    ns = _build_parser().parse_args(argv)
+    text = ns.run(ns)
+    if ns.out_path:
+        with open(ns.out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         (out or sys.stdout).write(text)
     return 0
 
 
-def _exec_construct(plan: CommandPlan, fmt: str) -> str:
-    g = _resolve_graph(plan.params)
-    if fmt == "g6":
+def _exec_construct(ns) -> str:
+    g = _resolve_graph(ns)
+    if ns.fmt == "g6":
         return graph6.encode(g) + "\n"
     payload = {
-        "family": plan.params["family"],
+        "family": ns.family,
         "graph6": graph6.encode(g),
         "n": g.n,
         "edges": g.edge_count,
@@ -275,11 +246,11 @@ def _exec_construct(plan: CommandPlan, fmt: str) -> str:
     return dump_json(payload)
 
 
-def _exec_trees(plan: CommandPlan, fmt: str) -> str:
-    fam = generate_trees(plan.params["t"])
-    if plan.params["count"]:
+def _exec_trees(ns) -> str:
+    fam = generate_trees(ns.t)
+    if ns.count:
         return f"{len(fam)}\n"
-    if fmt == "g6":
+    if ns.fmt == "g6":
         return graph6.write_lines(t.graph for t in fam)
     payload = {
         "t": fam.t,
@@ -290,48 +261,48 @@ def _exec_trees(plan: CommandPlan, fmt: str) -> str:
     return dump_json(payload)
 
 
-def _exec_spectral(plan: CommandPlan, fmt: str) -> str:
-    g = _resolve_graph(plan.params)
-    p = spectral_radius(g, tol=plan.params["tol"], max_iterations=plan.params["max_iterations"])
+def _exec_spectral(ns) -> str:
+    g = _resolve_graph(ns)
+    p = spectral_radius(g, tol=ns.tol, max_iterations=ns.max_iterations)
     payload = {
         "n": g.n,
         "radius": p.radius,
         "residual": p.residual,
         "z": p.z,
-        "vector": list(p.vector) if plan.params["with_vector"] else None,
+        "vector": list(p.vector) if ns.with_vector else None,
     }
-    return _emit(payload, fmt)
+    return _emit(payload, ns.fmt)
 
 
-def _exec_classify(plan: CommandPlan, fmt: str) -> str:
-    c = _resolve_constants(plan.params)
-    g = _resolve_graph(plan.params)
-    p = spectral_radius(g, tol=plan.params["tol"])
+def _exec_classify(ns) -> str:
+    c = _resolve_constants(ns)
+    g = _resolve_graph(ns)
+    p = spectral_radius(g, tol=ns.tol)
     part = asdict(classify_vertices(g, p, c))
     sizes = {name: len(members) for name, members in part.items()}
     payload = {"constants": asdict(c), "sizes": sizes, **part}
-    return _emit(payload, fmt)
+    return _emit(payload, ns.fmt)
 
 
 def _read_tree_arg(value: str):
     return tree_from_graph(_read_graph_arg(value))
 
 
-def _exec_contains(plan: CommandPlan, fmt: str) -> str:
-    g = _resolve_graph(plan.params)
-    tree = _read_tree_arg(plan.params["tree"])
+def _exec_contains(ns) -> str:
+    g = _resolve_graph(ns)
+    tree = _read_tree_arg(ns.tree)
     emb = contains_tree(g, tree)
     payload = {
         "contained": emb is not None,
         "embedding": list(emb.mapping) if emb else None,
     }
-    return _emit(payload, fmt)
+    return _emit(payload, ns.fmt)
 
 
-def _exec_membership(plan: CommandPlan, fmt: str) -> str:
-    check_order(plan.params["t"])
-    g = _resolve_graph(plan.params)
-    fam = generate_trees(plan.params["t"])
+def _exec_membership(ns) -> str:
+    check_order(ns.t)
+    g = _resolve_graph(ns)
+    fam = generate_trees(ns.t)
     m = family_membership(g, fam)
     payload = {
         "t": fam.t,
@@ -340,22 +311,20 @@ def _exec_membership(plan: CommandPlan, fmt: str) -> str:
         "witness_index": m.witness_index,
         "witness_graph6": graph6.encode(m.witness.graph) if m.witness else None,
     }
-    return _emit(payload, fmt)
+    return _emit(payload, ns.fmt)
 
 
-def _exec_embed_lemma(plan: CommandPlan, fmt: str) -> str:
-    tree = _read_tree_arg(plan.params["tree"])
-    emb, case = constructive_with_case(
-        tree, plan.params["target"], plan.params["a"], plan.params["b"]
-    )
+def _exec_embed_lemma(ns) -> str:
+    tree = _read_tree_arg(ns.tree)
+    emb, case = constructive_with_case(tree, ns.target, ns.a, ns.b)
     payload = {
-        "target": plan.params["target"],
-        "a": plan.params["a"],
-        "b": plan.params["b"],
+        "target": ns.target,
+        "a": ns.a,
+        "b": ns.b,
         "case": case,
         "embedding": list(emb.mapping),
     }
-    return _emit(payload, fmt)
+    return _emit(payload, ns.fmt)
 
 
 def _report_text(report, fmt: str) -> str:
@@ -370,35 +339,32 @@ def _report_text(report, fmt: str) -> str:
     return _emit(report.to_dict(), fmt)
 
 
-def _exec_spex(plan: CommandPlan, fmt: str) -> str:
-    p = plan.params
+def _exec_spex(ns) -> str:
     report = spex_search(
-        p["n"], p["k"], p["prime"],
-        connected_only=p["connected_only"],
-        prune=not p["ground_truth"],
-        workers=p["workers"],
+        ns.n, ns.k, ns.prime,
+        connected_only=ns.connected_only,
+        prune=not ns.ground_truth,
+        workers=ns.workers,
     )
-    return _report_text(report, fmt)
+    return _report_text(report, ns.fmt)
 
 
-def _exec_ex(plan: CommandPlan, fmt: str) -> str:
-    p = plan.params
-    tree = _read_tree_arg(p["tree"])
+def _exec_ex(ns) -> str:
+    tree = _read_tree_arg(ns.tree)
     report = ex_search(
-        p["n"], tree,
-        prune=not p["ground_truth"],
-        workers=p["workers"],
+        ns.n, tree,
+        prune=not ns.ground_truth,
+        workers=ns.workers,
     )
-    return _report_text(report, fmt)
+    return _report_text(report, ns.fmt)
 
 
-def _exec_audit(plan: CommandPlan, fmt: str) -> str:
-    c = _resolve_constants(plan.params)
-    g = _resolve_graph(plan.params)
-    k = plan.params["k"]
-    p = spectral_radius(g, tol=plan.params["tol"])
-    report = audit_extremal_lemmas(g, k, c, p, tol=plan.params["tol"])
-    if fmt == "jsonl":
+def _exec_audit(ns) -> str:
+    c = _resolve_constants(ns)
+    g = _resolve_graph(ns)
+    p = spectral_radius(g, tol=ns.tol)
+    report = audit_extremal_lemmas(g, ns.k, c, p, tol=ns.tol)
+    if ns.fmt == "jsonl":
         return "".join(
             json.dumps(_round_floats(e), sort_keys=True) + "\n" for e in report.to_dicts()
         )
@@ -411,43 +377,26 @@ def _exec_audit(plan: CommandPlan, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _exec_enumerate(plan: CommandPlan, fmt: str) -> str:
-    p = plan.params
-    stream = enumerate_graphs(p["n"], p["connected_only"])
-    if p["count"]:
+def _exec_enumerate(ns) -> str:
+    stream = enumerate_graphs(ns.n, ns.connected_only)
+    if ns.count:
         return f"{sum(1 for _ in stream)}\n"
     codes = [graph6.encode(g) for g in stream]
-    if fmt == "g6":
+    if ns.fmt == "g6":
         return "".join(s + "\n" for s in codes)
     payload = {
-        "n": p["n"],
-        "connected_only": p["connected_only"],
+        "n": ns.n,
+        "connected_only": ns.connected_only,
         "count": len(codes),
         "graphs": codes,
     }
     return dump_json(payload)
 
 
-_EXECUTORS = {
-    "construct": _exec_construct,
-    "trees": _exec_trees,
-    "spectral": _exec_spectral,
-    "classify": _exec_classify,
-    "contains": _exec_contains,
-    "membership": _exec_membership,
-    "embed-lemma": _exec_embed_lemma,
-    "spex": _exec_spex,
-    "ex": _exec_ex,
-    "audit": _exec_audit,
-    "enumerate": _exec_enumerate,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        plan = parse_and_plan(argv)
-        return execute(plan)
+        return execute(argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

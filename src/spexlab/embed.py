@@ -160,8 +160,10 @@ def constructive_with_case(tree: Tree, target: str, a: int, b: int) -> tuple[Emb
     if target not in _TARGETS:
         raise ParameterError(f"unknown target {target!r}; expected one of {sorted(_TARGETS)}")
     t = tree.graph.n
+    if t < 2:
+        raise ParameterError(f"constructive embeddings need a tree on at least 2 vertices, got {t}")
     if target == "K":
-        if t < 2 or (a, b) != (t // 2, t - 1):
+        if (a, b) != (t // 2, t - 1):
             raise ParameterError(
                 f"bipartite target for a tree on {t} vertices must be K({t // 2}, {t - 1})"
             )

@@ -109,8 +109,8 @@ class Graph:
         out = []
         full = (1 << self.n) - 1
         while seen != full:
-            comp = sum(_frontiers(self.rows, _lowest_bit(full & ~seen)))
-            out.append(tuple(_bits(comp)))
+            comp = sum(_frontiers(self, _lowest_bit(full & ~seen)))
+            out.append(_members(comp))
             seen |= comp
         return out
 
@@ -146,6 +146,7 @@ class Graph:
 
 
 def _bits(mask: int) -> Iterator[int]:
+    """The set bits of a small mask, lowest first; O(len(mask)) per bit."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -164,7 +165,8 @@ def _twin_masks(rows: tuple[int, ...]) -> tuple[int, ...]:
     No vertex has twins of both kinds, so closed rows are formed only for
     vertices alone in their open class. That keeps the cost linear in the
     row sizes where a large class shares one row (an independent part), whose
-    members' closed rows would be distinct and up to n bits each.
+    members' closed rows would be distinct and up to n bits each. All members
+    of a class share one mask object.
     """
     by_open: dict[int, list[int]] = {}
     for v, row in enumerate(rows):
@@ -186,17 +188,38 @@ def _twin_masks(rows: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(masks)
 
 
-def _frontiers(rows: tuple[int, ...], start: int) -> Iterator[int]:
+def _members(mask: int) -> tuple[int, ...]:
+    """The set bits of a mask in increasing order, in time linear in its length.
+
+    ``_bits`` makes a pass over the mask per bit, so it lists only masks of
+    a few bits; the others are read off their binary digits in one pass.
+    """
+    if mask.bit_count() <= 64:
+        return tuple(_bits(mask))
+    digits = bin(mask)[:1:-1]
+    out, i = [], digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return tuple(out)
+
+
+def _frontiers(g: Graph, start: int) -> Iterator[int]:
     """Breadth-first layers from ``start``, as bitmasks at distance 0, 1, 2, ...
 
     The layers are disjoint, so their sum is the component of ``start``.
+    Each layer expands one vertex per twin class it holds: open twins share
+    a row, and a closed twin's row lacks only itself, which the layer holds.
     """
+    rows, twins = g.rows, g.twin_masks
     seen = frontier = 1 << start
     while frontier:
         yield frontier
-        nxt = 0
-        for v in _bits(frontier):
+        nxt, rest = 0, frontier
+        while rest:
+            v = _lowest_bit(rest)
             nxt |= rows[v]
+            rest &= ~twins[v]
         frontier = nxt & ~seen
         seen |= nxt
 
@@ -372,6 +395,6 @@ class ShellDecomposition:
 def shells(g: Graph, u: int) -> ShellDecomposition:
     if not 0 <= u < g.n:
         raise ParameterError(f"source vertex must satisfy 0 <= u < n, got u={u}, n={g.n}")
-    layers = tuple(_frontiers(g.rows, u))
+    layers = tuple(_frontiers(g, u))
     unreachable = ((1 << g.n) - 1) & ~sum(layers)
-    return ShellDecomposition(u, tuple(tuple(_bits(s)) for s in layers), tuple(_bits(unreachable)))
+    return ShellDecomposition(u, tuple(_members(s) for s in layers), _members(unreachable))

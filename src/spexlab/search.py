@@ -57,7 +57,8 @@ and two workers: 8 and 16 tie at n = 8 (0.48 and 0.49 s; one worker 0.65 s),
 16 wins at n = 9 (2.34 against 2.67 s; one worker 4.06 s) and at n = 10
 (19.4 against 22.9 s; one worker 35.1 s). The merge (sums, max, tie
 filtering, sorted argmax) is associative and commutative, so results are
-identical for any worker count.
+identical for any worker count. The worker count defaults to
+``os.cpu_count()``.
 """
 
 from __future__ import annotations
@@ -263,33 +264,11 @@ def _scan(unit: tuple, cut: int = -1) -> tuple[dict, list[tuple]]:
     return state, roots
 
 
-def _threads_from_env() -> int | None:
-    """The worker count set by SPEX_THREADS, or None when it is unset.
-
-    Raises ParameterError for a value that is not an integer of at least 1.
-    """
-    env = os.environ.get("SPEX_THREADS")
-    if env is None:
-        return None
-    try:
-        workers = int(env)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ParameterError(f"SPEX_THREADS must be a positive integer, got {env!r}")
-    return workers
-
-
-def _resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        workers = _threads_from_env() or os.cpu_count() or 1
-    return workers
-
-
 def _run_search(n: int, job: dict, workers: int | None) -> list[dict]:
-    if workers is not None and workers < 1:
+    if workers is None:
+        workers = os.cpu_count() or 1
+    if workers < 1:
         raise ParameterError(f"workers must be at least 1, got {workers}")
-    workers = _resolve_workers(workers)
     root = (n, (), -1, job)
     if workers == 1:
         return [_scan(root)[0]]

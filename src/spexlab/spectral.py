@@ -158,15 +158,18 @@ def _twin_quotient_start(g: Graph, nbr):
     the Perron vector of g. Twins therefore get bitwise-equal weights.
     All ones when there are more than DENSE_LIMIT classes.
     """
+    # a class's members share one mask object, so its id labels the class
+    # without hashing up to n bits per vertex
     ids: dict[int, int] = {}
-    label = np.array([ids.setdefault(mask, len(ids)) for mask in g.twin_masks])
+    label = np.array([ids.setdefault(id(mask), len(ids)) for mask in g.twin_masks])
     q = len(ids)
     if q > DENSE_LIMIT:
         return np.ones(g.n)
     index, bounds = nbr
     label_ext = np.append(label, q)  # an isolated vertex's sentinel falls in class q
     # each class's smallest vertex stands for it
-    reps = [(mask & -mask).bit_length() - 1 for mask in ids]
+    classes = {id(mask): mask for mask in g.twin_masks}.values()
+    reps = [(mask & -mask).bit_length() - 1 for mask in classes]
     b = np.array([np.bincount(label_ext[index[bounds[r]:bounds[r + 1]]], minlength=q + 1)[:q]
                   for r in reps])
     _, vecs = np.linalg.eigh(np.sqrt(b * b.T))

@@ -1,33 +1,37 @@
+import argparse
 import hashlib
 import io
 import json
 import random
+import re
+import shlex
 import string
 import sys
+from pathlib import Path
 
 import pytest
 
 from spexlab import cli
-from spexlab.cli import dump_json, execute, main, parse_and_plan
+from spexlab.cli import _build_parser, dump_json, execute, main
 from spexlab.errors import UsageError
 from spexlab.graph6 import encode
-from spexlab.graphs import complete_split, path_graph
+from spexlab.graphs import complete_split, cycle, path_graph
 from spexlab.schemas import validate_output
 from spexlab.spectral import DENSE_LIMIT
 
 
 def run_cli(argv):
     out = io.StringIO()
-    plan = parse_and_plan(argv)
-    code = execute(plan, out=out)
+    code = execute(argv, out=out)
     return code, out.getvalue()
 
 
 def test_construct_plan_example():
-    plan = parse_and_plan(["construct", "--family", "S", "--n", "5", "--k", "2", "--out", "g6"])
-    assert plan.command == "construct"
-    assert plan.fmt == "g6"
-    assert plan.params["family"] == "S"
+    ns = _build_parser().parse_args(
+        ["construct", "--family", "S", "--n", "5", "--k", "2", "--out", "g6"])
+    assert ns.run is cli._exec_construct
+    assert ns.fmt == "g6"
+    assert ns.family == "S"
 
 
 def test_construct_emits_one_graph6_line():
@@ -44,8 +48,8 @@ def test_construct_json_schema():
 
 
 def test_spex_plan_and_usage_error(capsys):
-    plan = parse_and_plan(["spex", "--n", "9", "--k", "2"])
-    assert plan.command == "spex" and plan.params["n"] == 9
+    ns = _build_parser().parse_args(["spex", "--n", "9", "--k", "2"])
+    assert ns.run is cli._exec_spex and ns.n == 9
     assert main(["spex", "--n", "9", "--k", "5"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -139,9 +143,8 @@ def test_embed_lemma_json():
 
 def test_embed_lemma_targets_are_the_embed_targets(capsys):
     from spexlab import embed
-    from spexlab.cli import _build_parser
 
-    (sub,) = [a for a in _build_parser()._actions if a.dest == "command"]
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     (target,) = [a for a in sub.choices["embed-lemma"]._actions if a.dest == "target"]
     assert tuple(target.choices) == embed._TARGETS
     p6 = encode(path_graph(6))
@@ -234,14 +237,6 @@ def test_exit_codes(capsys):
     assert main(["contains", "--graph", "Bw", "--tree", "Bw"]) == 2  # not a tree
 
 
-def test_bad_spex_threads_is_a_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("SPEX_THREADS", "abc")
-    assert main(["spex", "--n", "6", "--k", "2"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "SPEX_THREADS" in captured.err
-
-
 def test_negative_workers_is_a_usage_error(capsys):
     assert main(["spex", "--n", "6", "--k", "2", "--workers", "-1"]) == 2
     captured = capsys.readouterr()
@@ -252,8 +247,9 @@ def test_negative_workers_is_a_usage_error(capsys):
 P4 = encode(path_graph(4))
 
 
+# the second column, when given, is the text fed to standard input
 @pytest.mark.parametrize(
-    "argv,env",
+    "argv,stdin",
     [
         (["trees", "--t", "0"], None),
         (["trees", "--t", "17", "--count"], None),
@@ -271,15 +267,16 @@ P4 = encode(path_graph(4))
         (["spex", "--n", "6", "--k", "2", "--split-depth", "2"], None),
         (["construct", "--graph", "D~{", "--family", "S", "--n", "5", "--k", "2",
           "--format", "json"], None),
-        (["spex", "--n", "6", "--k", "2"], "abc"),
-        (["ex", "--n", "6", "--tree", P4], "0"),
+        (["spectral", "--graph", "-"], "abc"),
+        (["ex", "--n", "6", "--tree", "-"], "0"),
         (["classify", "--family", "S", "--n", "12", "--k", "1"], None),
         (["audit", "--family", "S", "--n", "12", "--k", "1"], None),
+        (["embed-lemma", "--tree", "@", "--target", "K", "--a", "0", "--b", "0"], None),
     ],
 )
-def test_out_of_range_inputs_are_refused(argv, env, monkeypatch, capsys):
-    if env is not None:
-        monkeypatch.setenv("SPEX_THREADS", env)
+def test_out_of_range_inputs_are_refused(argv, stdin, monkeypatch, capsys):
+    if stdin is not None:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -352,7 +349,99 @@ def test_classify_output_pinned(graph, digests):
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-def test_parse_and_plan_is_total():
+P5, P6, P7 = (encode(path_graph(t)) for t in (5, 6, 7))
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+
+# exit code and stdout sha256 of each subcommand in each declared format,
+# and of inputs the command line refuses
+@pytest.mark.parametrize(
+    "argv,code,digest",
+    [
+        (["construct", "--family", "S_plus", "--n", "9", "--k", "2", "--format", "g6"], 0,
+         "c6dd177169bbcbebde28d7dd0c76f30731daec9047d8b690f2f54973d071b44f"),
+        (["construct", "--family", "S_plus", "--n", "9", "--k", "2", "--format", "json"], 0,
+         "fcf71a311754efd5a91a64436d1ec11651037bea891d0f08c8b4d3c3f9efd082"),
+        (["construct", "--family", "K_path", "--a", "2", "--b", "6", "--format", "json"], 0,
+         "af94f9b685cb107fabe794361f8af8541b6ebac813afc761720418cf6ba87f12"),
+        (["trees", "--t", "7", "--format", "g6"], 0,
+         "664030d1d264fc55b580533577cff21abf27014d4189c318d520818e57d72290"),
+        (["trees", "--t", "7", "--format", "json"], 0,
+         "b027c225ea819130829ac224af51aed6a46ac07ae9468f68967185b803afd3d3"),
+        (["trees", "--t", "10", "--count"], 0,
+         "79f0cdc11a64b21e76816c25cc0d066a873134770fba891b54e01445c2620c4c"),
+        (["spectral", "--family", "S_plus", "--n", "20", "--k", "3", "--with-vector",
+          "--format", "json"], 0,
+         "04de397cd13a960e97919648a1f17e6e74ac54fa38cc4204fc20888b81795b77"),
+        (["spectral", "--family", "S_plus", "--n", "20", "--k", "3", "--format", "table"], 0,
+         "a59da413003825fd78216f27d0f9b60a14dc40fb2fc82d3964f52794e8394ee3"),
+        (["spectral", "--graph", encode(cycle(7)), "--format", "json"], 0,
+         "d241ea3ef6f7a95834e9678d0d458618f9c19cebdfe290cde63deddf06d3fc88"),
+        (["contains", "--family", "S", "--n", "12", "--k", "2", "--tree", P5, "--format", "json"], 0,
+         "77dcde0a7d92f9f1614cf7407027a085bba07e514485bf24bb10246f1b6e070d"),
+        (["contains", "--family", "S", "--n", "12", "--k", "2", "--tree", P5, "--format", "table"], 0,
+         "60349d15a3656cd59a86279c4ca705248bbd17a42c19b086a8d83176e629a53f"),
+        (["contains", "--family", "S", "--n", "12", "--k", "2", "--tree", P6, "--format", "json"], 0,
+         "74292afc0f9d5c7231c5317b5c6e15d4d6ed706529ce26172e36afac6cc0dc6b"),
+        (["membership", "--family", "S_plus", "--n", "11", "--k", "2", "--t", "7",
+          "--format", "json"], 0,
+         "b43e1f47e598d41a0a0dc2094a984615097b9045b44f133d718ef3fa2f663bac"),
+        (["membership", "--family", "S_plus", "--n", "11", "--k", "2", "--t", "7",
+          "--format", "table"], 0,
+         "100d445e4725289b07ddc976ab8e92489f8816f9a788f395456f13c5e67e0351"),
+        (["membership", "--graph", encode(complete_split(9, 2)), "--t", "5", "--format", "json"], 0,
+         "63f7ac393a62f0e11b85dd0cda8a97a08eec443088c307992eb162eb4fe740e2"),
+        (["embed-lemma", "--tree", P6, "--target", "K_plus", "--a", "2", "--b", "5",
+          "--format", "json"], 0,
+         "d19482395ed98667df949d75d0d730d82b66d50eba628be9c8003693ea0c7aa8"),
+        (["embed-lemma", "--tree", P6, "--target", "K_plus", "--a", "2", "--b", "5",
+          "--format", "table"], 0,
+         "aa6e8c143cd67ded32030bdae73bbd653dee05a205a173a962e88fa066c05aac"),
+        (["embed-lemma", "--tree", P7, "--target", "K_path", "--a", "2", "--b", "6",
+          "--format", "json"], 0,
+         "c8e7d482a904f01e09b0732ebfc726eba4eb92ae332e6961311cd66dbdebaba2"),
+        (["embed-lemma", "--tree", P7, "--target", "K_matching", "--a", "2", "--b", "6",
+          "--format", "json"], 0,
+         "d51e85e26abb906e90d1bf62e47e8f208cc4663d72bb2ad56bb2d91e03aef68e"),
+        (["embed-lemma", "--tree", P7, "--target", "K", "--a", "3", "--b", "6",
+          "--format", "json"], 0,
+         "946ed0cc2c78826302f904c474cdc5287e3ea61786743416cfeb68b1295695e9"),
+        (["enumerate", "--n", "5", "--format", "g6"], 0,
+         "76982d69432521ef6849d2bc13501ff53d36ac2d5cb02e4d4316ecec253d6e6a"),
+        (["enumerate", "--n", "5", "--format", "json"], 0,
+         "0a7759eb1ef1c755f00d037b6eb0d441bf05d54b82d2ab0c86dcb5f2725c521e"),
+        (["enumerate", "--n", "6", "--connected-only", "--count"], 0,
+         "f7dbab4769334b25f2b4c0606fef276da29bc7477cc15f51f0967a6e477e7c94"),
+        ([], 2, EMPTY),
+        (["nonsense"], 2, EMPTY),
+        (["spectral", "--format", "json"], 2, EMPTY),
+        (["spectral", "--graph", "Bw", "--family", "S", "--n", "5", "--k", "2"], 2, EMPTY),
+        (["construct", "--n", "5", "--k", "2"], 2, EMPTY),
+        (["construct", "--graph", "Bw"], 2, EMPTY),
+        (["embed-lemma", "--tree", "@", "--target", "K", "--a", "0", "--b", "0"], 2, EMPTY),
+        (["contains", "--graph", "Bw", "--tree", "Bw"], 2, EMPTY),
+        (["spectral", "--graph", "???"], 2, EMPTY),
+        (["trees", "--t", "x"], 2, EMPTY),
+        (["enumerate", "--n", "5", "--format", "csv"], 2, EMPTY),
+        (["membership", "--graph", "Bw"], 2, EMPTY),
+    ],
+)
+def test_cli_output_pinned(argv, code, digest, capsys):
+    assert main(argv) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("spexlab ")]
+    assert len(lines) == 11
+    for line in lines:
+        line = re.sub(r"<g6[^>]*>", P6, line)
+        _build_parser().parse_args(shlex.split(line)[1:])
+
+
+def test_parse_args_is_total():
     rng = random.Random(1)
     vocabulary = [
         "construct", "spex", "--n", "--k", "--graph", "--format", "json", "g6",
@@ -362,7 +451,7 @@ def test_parse_and_plan_is_total():
         argv = [rng.choice(vocabulary) for _ in range(rng.randint(0, 6))]
         argv += ["".join(rng.choice(string.printable[:70]) for _ in range(rng.randint(0, 8)))]
         try:
-            parse_and_plan(argv)
+            _build_parser().parse_args(argv)
         except UsageError:
             pass
 

@@ -223,6 +223,8 @@ def test_target_shape_mismatches():
         embed_constructive(path_tree(7), "K_matching", 3, 8)
     with pytest.raises(ParameterError):
         embed_constructive(path_tree(6), "K_star", 2, 5)
+    with pytest.raises(ParameterError, match="at least 2 vertices, got 1"):
+        embed_constructive(path_tree(1), "K", 0, 0)
 
 
 def test_containment_depth_is_not_bounded_by_the_recursion_limit():

@@ -151,6 +151,40 @@ def test_components_and_connectivity():
     assert complete_split(6, 2).is_connected()
 
 
+def _plain_layers(g, u):
+    """Breadth-first layers over the neighbour tuples, one vertex at a time."""
+    dist = {u: 0}
+    queue = [u]
+    for v in queue:
+        for w in g.neighbors(v):
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    depth = max(dist.values())
+    return tuple(tuple(sorted(v for v in dist if dist[v] == d)) for d in range(depth + 1))
+
+
+def test_components_and_shells_match_a_plain_bfs():
+    # twin-heavy hosts with layers of more than 64 vertices, a twin-free
+    # graph and unions, so both ways of listing a mask and the twin-class
+    # expansion are exercised
+    graphs = [
+        complete_split(200, 2), complete_split_plus(150, 3), complete_bipartite(3, 90),
+        path_graph(130), cycle(9), clique(70), from_edges(5, []),
+        disjoint_union(complete_split(80, 2), disjoint_union(path_graph(3), clique(66))),
+        disjoint_union(complete_bipartite(2, 70), complete_split_plus(12, 2)),
+    ]
+    for g in graphs:
+        expected = sorted({tuple(sorted(v for layer in _plain_layers(g, u) for v in layer))
+                           for u in range(g.n)})
+        assert g.components() == expected
+        for u in sorted({0, 1, g.n // 2, g.n - 1}):
+            sh = shells(g, u)
+            layers = _plain_layers(g, u)
+            assert sh.shells == layers
+            assert sh.unreachable == tuple(sorted(set(range(g.n)) - set(sum(layers, ()))))
+
+
 def test_relabel_and_subgraph():
     g = path_graph(4)
     rev = g.relabel((3, 2, 1, 0))
@@ -203,6 +237,7 @@ def test_twin_classes_brute_force(n):
         classes = g.twin_classes()
         assert sorted(v for cls in classes for v in cls) == list(range(n))
         assert [cls[0] for cls in classes] == sorted(cls[0] for cls in classes)
+        assert len({id(mask) for mask in g.twin_masks}) == len(classes)  # one object per class
         label = {v: i for i, cls in enumerate(classes) for v in cls}
         for u in range(n):
             for v in range(u + 1, n):

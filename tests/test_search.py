@@ -198,6 +198,22 @@ def test_split_gives_every_worker_enough_units(monkeypatch):
     assert report == spex_search(7, 2, workers=1).to_json()
 
 
+@pytest.mark.parametrize("cpus,processes", [(3, 3), (None, None)])
+def test_default_workers_is_the_machine_parallelism(cpus, processes, monkeypatch):
+    pools = []
+
+    class Context:
+        def Pool(self, processes):
+            pools.append(_SerialPool(processes))
+            return pools[-1]
+
+    monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(search, "get_context", lambda method: Context())
+    report = spex_search(7, 2).to_json()
+    assert [pool.processes for pool in pools] == ([processes] if processes else [])
+    assert report == spex_search(7, 2, workers=1).to_json()
+
+
 @pytest.mark.parametrize(
     "n,prune,digest",
     [
@@ -370,26 +386,6 @@ def test_search_report_json_is_deterministic():
     a = ex_search(6, tree_of(path_graph(4)), workers=1).to_json()
     b = ex_search(6, tree_of(path_graph(4)), workers=4).to_json()
     assert a == b
-
-
-def test_spex_threads_env_bounds_workers(monkeypatch):
-    from spexlab.search import _resolve_workers
-
-    monkeypatch.setenv("SPEX_THREADS", "3")
-    assert _resolve_workers(None) == 3
-    monkeypatch.delenv("SPEX_THREADS")
-    assert _resolve_workers(None) >= 1
-    assert _resolve_workers(7) == 7
-    monkeypatch.setenv("SPEX_THREADS", "2")
-    r = spex_search(6, 2)  # resolves workers from the environment
-    assert r.best_value == pytest.approx(4.0, abs=1e-9)
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
-def test_bad_spex_threads_is_a_parameter_error(monkeypatch, value):
-    monkeypatch.setenv("SPEX_THREADS", value)
-    with pytest.raises(ParameterError, match="SPEX_THREADS"):
-        spex_search(6, 2)
 
 
 @pytest.mark.parametrize(
