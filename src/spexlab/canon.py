@@ -11,7 +11,7 @@ labels (label 0 most significant). d bitwise ANDs over the placed rows give
 the largest column a free vertex can take and its tie set. A column below the
 target cuts the node; otherwise the engine branches on the tie set from the
 lowest vertex, skipping twins of an explored sibling (the swap is an
-automorphism; classes from ``graphs._twin_masks``) and vertices in its orbit
+automorphism; classes from ``Graph.twin_masks``) and vertices in its orbit
 under the recorded automorphisms fixing the prefix (complete labellings that
 tie the target).
 
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import graph6
-from .graphs import Graph, _bits, _twin_masks
+from .graphs import Graph, _bits
 
 __all__ = [
     "CanonicalForm",
@@ -88,11 +88,11 @@ class _Search:
 
     __slots__ = ("rows", "n", "test", "twins", "assigned", "best_cols", "best_assigned", "gens")
 
-    def __init__(self, rows: Sequence[int], n: int, test: bool):
-        self.rows = rows
-        self.n = n
+    def __init__(self, g: Graph, test: bool):
+        rows = self.rows = g.rows
+        n = self.n = g.n
         self.test = test
-        self.twins = _twin_masks(tuple(rows))
+        self.twins = g.twin_masks
         self.assigned = [0] * n
         self.best_assigned = tuple(range(n))
         if test:  # the identity labelling's columns are the fixed target
@@ -190,9 +190,9 @@ class _Search:
                 self._descend(d + 1, free ^ (1 << v), val << 1, rest)
 
 
-def is_canonically_labeled(rows: Sequence[int], n: int) -> bool:
+def is_canonically_labeled(g: Graph) -> bool:
     """True iff the labelled graph equals its own canonical representative."""
-    return _Search(rows, n, test=True).run()
+    return _Search(g, test=True).run()
 
 
 def _pack(n: int, cols: list[int]) -> bytes:
@@ -204,7 +204,7 @@ def _pack(n: int, cols: list[int]) -> bytes:
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
-    search = _Search(g.rows, g.n, test=False)
+    search = _Search(g, test=False)
     search.run()
     relab = [0] * g.n
     for label, v in enumerate(search.best_assigned):

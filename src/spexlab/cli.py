@@ -48,11 +48,7 @@ __all__ = ["execute", "main", "dump_json"]
 
 
 def fmt_num(x) -> str:
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        return str(x)
-    if isinstance(x, int):
-        return str(x)
-    return f"{x:.12g}"
+    return f"{x:.12g}" if isinstance(x, float) else str(x)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -66,9 +66,9 @@ def decode(text: str) -> Graph:
     for pos in range(nbits, len(bits)):
         if bits[pos]:
             raise Graph6ParseError("nonzero padding bits", 1 + pos // 6)
-    rows = [0] * max(n, 1)
     if n == 0:
         raise Graph6ParseError("graphs on 0 vertices are not supported", 0)
+    rows = [0] * n
     idx = 0
     for j in range(1, n):
         for i in range(j):

@@ -13,7 +13,7 @@ labels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -118,10 +118,6 @@ class Graph:
         return len(self.components()) == 1
 
     @cached_property
-    def twin_masks(self) -> tuple[int, ...]:
-        """Bitmask of each vertex's twin class (see ``twin_classes``)."""
-        return _twin_masks(self.rows)
-
     def twin_classes(self) -> tuple[tuple[int, ...], ...]:
         """Classes of vertices with equal open or equal closed neighborhoods.
 
@@ -130,8 +126,42 @@ class Graph:
         partition the vertex set. The partition is equitable: all vertices
         of a class have the same number of neighbors in each class. Classes
         are sorted tuples, ordered by smallest vertex.
+
+        Open twins share a row; closed twins share the closed row
+        ``row | 1 << v``, which is formed only for vertices alone in their
+        open class. That keeps the cost linear in the row sizes where a large
+        class shares one row (an independent part), whose members' closed
+        rows would be distinct and up to n bits each.
         """
-        return tuple(tuple(_bits(mask)) for mask in dict.fromkeys(self.twin_masks))
+        by_open: dict[int, list[int]] = {}
+        for v, row in enumerate(self.rows):
+            by_open.setdefault(row, []).append(v)
+        # by_open runs in order of smallest vertex, and a class is listed
+        # when its smallest vertex comes up, so the list needs no sort
+        classes: list[list[int]] = []
+        by_closed: dict[int, list[int]] = {}
+        for row, members in by_open.items():
+            if len(members) > 1:
+                classes.append(members)
+                continue
+            v = members[0]
+            closed = by_closed.setdefault(row | 1 << v, [])
+            if not closed:
+                classes.append(closed)
+            closed.append(v)
+        return tuple(map(tuple, classes))
+
+    @cached_property
+    def twin_masks(self) -> tuple[int, ...]:
+        """Bitmask of each vertex's twin class (see ``twin_classes``)."""
+        masks = [0] * self.n
+        for members in self.twin_classes:
+            mask = 0
+            for v in members:
+                mask |= 1 << v
+            for v in members:
+                masks[v] = mask
+        return tuple(masks)
 
     def np_adjacency(self) -> np.ndarray:
         """Dense float64 adjacency matrix."""
@@ -151,41 +181,6 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-@lru_cache(maxsize=1)
-def _twin_masks(rows: tuple[int, ...]) -> tuple[int, ...]:
-    """Bitmask of each vertex's twin class, for the graph with these rows.
-
-    The latest result is kept: the orderly walker's accept test asks for a
-    child's masks (``canon``), and the walker then asks again, through
-    ``Graph.twin_masks``, for the child it builds from the same rows.
-
-    Open twins share a row; closed twins share the closed row ``row | 1 << v``.
-    No vertex has twins of both kinds, so closed rows are formed only for
-    vertices alone in their open class. That keeps the cost linear in the
-    row sizes where a large class shares one row (an independent part), whose
-    members' closed rows would be distinct and up to n bits each. All members
-    of a class share one mask object.
-    """
-    by_open: dict[int, list[int]] = {}
-    for v, row in enumerate(rows):
-        by_open.setdefault(row, []).append(v)
-    classes = [members for members in by_open.values() if len(members) > 1]
-    by_closed: dict[int, list[int]] = {}
-    for row, members in by_open.items():
-        if len(members) == 1:
-            v = members[0]
-            by_closed.setdefault(row | 1 << v, []).append(v)
-    classes += by_closed.values()
-    masks = [0] * len(rows)
-    for members in classes:
-        mask = 0
-        for v in members:
-            mask |= 1 << v
-        for v in members:
-            masks[v] = mask
-    return tuple(masks)
 
 
 def _members(mask: int) -> tuple[int, ...]:

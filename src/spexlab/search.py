@@ -117,8 +117,7 @@ def _walk(
     pairs = _pairs(n)
     nbits = len(pairs)
 
-    def rec(rows: list[int], last: int, depth: int, carried: object) -> Iterator[Graph]:
-        g = _from_rows(n, rows)
+    def rec(g: Graph, last: int, depth: int, carried: object) -> Iterator[Graph]:
         yield g
         if visit is not None:
             carried = visit(g, last, depth, carried)
@@ -129,13 +128,14 @@ def _walk(
             i, j = pairs[pos]
             if _twin_swap_earlier(twins, i, j):
                 continue
-            child = list(rows)
-            child[i] |= 1 << j
-            child[j] |= 1 << i
-            if is_canonically_labeled(child, n):
+            child_rows = list(g.rows)
+            child_rows[i] |= 1 << j
+            child_rows[j] |= 1 << i
+            child = Graph(n, tuple(child_rows), g.edge_count + 1)
+            if is_canonically_labeled(child):
                 yield from rec(child, pos, depth + 1, carried)
 
-    yield from rec(list(rows) if rows else [0] * n, last, 0, None)
+    yield from rec(_from_rows(n, list(rows) or [0] * n), last, 0, None)
 
 
 def _twin_swap_earlier(twins: tuple[int, ...], i: int, j: int) -> bool:

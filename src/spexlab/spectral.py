@@ -88,13 +88,8 @@ def spectral_radius(
     g: Graph,
     tol: float = DEFAULT_TOL,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    start=None,
 ) -> PerronData:
-    """Dominant adjacency eigenvalue and scaled Perron vector of g.
-
-    ``start`` overrides the twin-quotient start vector (any positive
-    vector); it exists so tests can confirm the result does not depend on it.
-    """
+    """Dominant adjacency eigenvalue and scaled Perron vector of g."""
     if not (math.isfinite(tol) and tol > 0):
         raise ParameterError(f"tolerance must be finite and positive, got {tol}")
     if max_iterations < 1:
@@ -104,13 +99,7 @@ def spectral_radius(
     for comp in comps:
         sub = g.subgraph(comp) if len(comps) > 1 else g
         nbr = _neighbours(sub)
-        if start is not None:
-            s = np.asarray([start[v] for v in comp], dtype=float)
-            if np.any(s <= 0):
-                raise ParameterError("start vector must be strictly positive")
-        else:
-            s = _twin_quotient_start(sub, nbr)
-        lam, x, residual, ok = _power(nbr, s, tol, max_iterations)
+        lam, x, residual, ok = _power(nbr, _twin_quotient_start(sub, nbr), tol, max_iterations)
         if not ok:
             partial = _assemble(g, comp, lam, x, residual)
             raise ConvergenceError(
@@ -158,18 +147,19 @@ def _twin_quotient_start(g: Graph, nbr):
     the Perron vector of g. Twins therefore get bitwise-equal weights.
     All ones when there are more than DENSE_LIMIT classes.
     """
-    # a class's members share one mask object, so its id labels the class
-    # without hashing up to n bits per vertex
-    ids: dict[int, int] = {}
-    label = np.array([ids.setdefault(id(mask), len(ids)) for mask in g.twin_masks])
-    q = len(ids)
+    classes = g.twin_classes
+    q = len(classes)
     if q > DENSE_LIMIT:
         return np.ones(g.n)
+    label = [0] * g.n
+    for c, members in enumerate(classes):
+        for v in members:
+            label[v] = c
+    label = np.array(label)
     index, bounds = nbr
     label_ext = np.append(label, q)  # an isolated vertex's sentinel falls in class q
     # each class's smallest vertex stands for it
-    classes = {id(mask): mask for mask in g.twin_masks}.values()
-    reps = [(mask & -mask).bit_length() - 1 for mask in classes]
+    reps = [members[0] for members in classes]
     b = np.array([np.bincount(label_ext[index[bounds[r]:bounds[r + 1]]], minlength=q + 1)[:q]
                   for r in reps])
     _, vecs = np.linalg.eigh(np.sqrt(b * b.T))

@@ -51,7 +51,7 @@ def test_relabeling_maps_to_canonical_representative():
         form = canonical_form(g)
         rep = g.relabel(form.relabeling)
         # the representative is canonically labeled and re-canonizing fixes it
-        assert is_canonically_labeled(rep.rows, rep.n)
+        assert is_canonically_labeled(rep)
         assert canonical_form(rep).data == form.data
         assert rep.rows == canonical_graph(g).rows
 
@@ -110,12 +110,12 @@ def test_is_canonically_labeled_consistent():
     for _ in range(40):
         g = random_graph(rng, 7)
         rep = canonical_graph(g)
-        assert is_canonically_labeled(rep.rows, rep.n)
+        assert is_canonically_labeled(rep)
         perm = list(range(7))
         rng.shuffle(perm)
         shuffled = g.relabel(tuple(perm))
         if shuffled.rows != rep.rows:
-            assert not is_canonically_labeled(shuffled.rows, shuffled.n) or shuffled.rows == rep.rows
+            assert not is_canonically_labeled(shuffled) or shuffled.rows == rep.rows
 
 
 def test_canonical_g6_stable_across_relabelings():
@@ -158,13 +158,13 @@ def test_twin_heavy_forms_pinned():
     rng = random.Random(9)
     for g in graphs:
         rep = canonical_graph(g)
-        assert is_canonically_labeled(rep.rows, rep.n)
+        assert is_canonically_labeled(rep)
         for _ in range(5):
             perm = list(range(g.n))
             rng.shuffle(perm)
             h = g.relabel(tuple(perm))
             assert canonical_graph(h).rows == rep.rows
-            assert is_canonically_labeled(h.rows, h.n) == (h.rows == rep.rows)
+            assert is_canonically_labeled(h) == (h.rows == rep.rows)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -179,4 +179,4 @@ def test_is_canonically_labeled_matches_brute_force_lex_max(n):
             best = max(orbit, key=column_bits)
             verdict.update((rows, rows == best) for rows in orbit)
     for g in all_labeled_graphs(n):
-        assert is_canonically_labeled(g.rows, n) == verdict[g.rows]
+        assert is_canonically_labeled(g) == verdict[g.rows]

@@ -63,6 +63,13 @@ def test_parse_errors_carry_offsets():
     with pytest.raises(Graph6ParseError) as err:
         graph6.decode("B\x19")  # data byte below 63
     assert err.value.offset == 1
+    # n = 0: a malformed length is reported before the vertex count
+    with pytest.raises(Graph6ParseError, match="expected 0 data bytes") as err:
+        graph6.decode("?@")
+    assert err.value.offset == 1
+    with pytest.raises(Graph6ParseError, match="0 vertices") as err:
+        graph6.decode("?")
+    assert err.value.offset == 0
 
 
 def test_nonzero_padding_rejected():
