@@ -25,7 +25,8 @@ the d ANDs. The accept test's target columns are read straight off the rows.
 ``canonical_form`` completes a column above the best greedily and installs it
 as the new best. ``is_canonically_labeled``, the accept test of the orderly
 enumeration in ``search``, fixes the identity labelling as the target and
-fails once a column beats it.
+fails once a column beats it. ``graphs._column`` reads the identity's columns
+and ``graphs._triangle`` packs a column string, as in the graph6 codec.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import graph6
-from .graphs import Graph, _bits
+from .graphs import Graph, _column, _members, _triangle
 
 __all__ = [
     "CanonicalForm",
@@ -75,14 +76,6 @@ def _top(rows: Sequence[int], assigned: Sequence[int], d: int, free: int) -> tup
     return val, ties
 
 
-def _identity_column(row: int, d: int) -> int:
-    """Column d of the identity labelling: row's bits at 0..d-1, bit 0 first."""
-    val = 0
-    for i in range(d):
-        val = val << 1 | (row >> i) & 1
-    return val
-
-
 class _Search:
     """Branch-and-bound over labellings for the maximal column string."""
 
@@ -96,7 +89,7 @@ class _Search:
         self.assigned = [0] * n
         self.best_assigned = tuple(range(n))
         if test:  # the identity labelling's columns are the fixed target
-            self.best_cols = [_identity_column(rows[d], d) for d in range(n)]
+            self.best_cols = [_column(row, d) for d, row in enumerate(rows)]
         else:  # below every column, so the root is completed greedily
             self.best_cols = [-1] * n
         self.gens: dict[tuple[int, ...], int] = {}  # automorphism -> fixed-point mask
@@ -174,7 +167,7 @@ class _Search:
         prefix = ((1 << self.n) - 1) ^ free
         twins = self.twins
         explored = 0
-        for v in _bits(ties):
+        for v in _members(ties):
             if twins[v] & explored:
                 continue  # a twin of an explored sibling
             if explored and self._orbit_hit(v, explored, prefix):
@@ -196,11 +189,8 @@ def is_canonically_labeled(g: Graph) -> bool:
 
 
 def _pack(n: int, cols: list[int]) -> bytes:
-    acc = 0
-    for d in range(n):
-        acc = (acc << d) | cols[d]
     nbits = n * (n - 1) // 2
-    return n.to_bytes(2, "big") + acc.to_bytes((nbits + 7) // 8 or 1, "big")
+    return n.to_bytes(2, "big") + _triangle(cols).to_bytes((nbits + 7) // 8 or 1, "big")
 
 
 def canonical_form(g: Graph) -> CanonicalForm:

@@ -7,7 +7,7 @@ range is checked once, by the library, before it computes.
 Execution buffers its entire output and emits it only on success, so failed
 invocations never print partial results.
 
-Exit codes: 0 success, 2 usage or input error, 3 convergence failure.
+Exit codes: 0 success, 2 usage, input or I/O error, 3 convergence failure.
 Numeric output uses 12 significant digits and repeated invocations are
 byte-identical. Output format defaults: a subcommand prints a table on a
 terminal when it offers one, and otherwise its first declared format
@@ -165,13 +165,16 @@ def _build_parser() -> _Parser:
 
 
 def _read_graph_arg(value: str) -> Graph:
-    if value == "-":
-        text = sys.stdin.read()
-    elif os.path.isfile(value):
-        with open(value, "r", encoding="ascii") as fh:
-            text = fh.read()
-    else:
-        text = value
+    try:
+        if value == "-":
+            text = sys.stdin.read()
+        elif os.path.isfile(value):
+            with open(value, "r", encoding="ascii") as fh:
+                text = fh.read()
+        else:
+            text = value
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"cannot read {value}: {exc}") from None
     g = next(graph6.read_lines(text), None)
     if g is None:
         raise ParameterError("no graph6 data found in input")
@@ -221,8 +224,11 @@ def execute(argv: list[str], out=None) -> int:
     ns = _build_parser().parse_args(argv)
     text = ns.run(ns)
     if ns.out_path:
-        with open(ns.out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(ns.out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParameterError(f"cannot write {ns.out_path}: {exc.strerror}") from None
     else:
         (out or sys.stdout).write(text)
     return 0

@@ -3,6 +3,8 @@
 Follows the published format bit for bit: the first byte is n + 63 for
 n <= 62, then the upper triangle of the adjacency matrix in column-major
 order, packed big-endian into 6-bit chunks offset by 63, zero padded.
+The triangle order is the one ``graphs`` states (``_column``, ``_triangle``
+and ``_pairs``); this module only chunks that int into bytes and back.
 The long form (n >= 63) is rejected rather than implemented.
 """
 
@@ -11,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .errors import Graph6ParseError, Graph6RangeError
-from .graphs import Graph, _from_rows
+from .graphs import Graph, _column, _pairs, _triangle, from_edges
 
 __all__ = ["encode", "decode", "write_lines", "read_lines"]
 
@@ -19,24 +21,14 @@ HEADER = ">>graph6<<"
 
 
 def encode(g: Graph) -> str:
-    if g.n > 62:
-        raise Graph6RangeError(f"short-form graph6 supports n <= 62, got n = {g.n}")
-    chars = [chr(g.n + 63)]
-    acc = 0
-    nbits = 0
-    for j in range(1, g.n):
-        col = g.rows[j] & ((1 << j) - 1)
-        for i in range(j):
-            acc = (acc << 1) | ((col >> i) & 1)
-            nbits += 1
-            if nbits == 6:
-                chars.append(chr(acc + 63))
-                acc = 0
-                nbits = 0
-    if nbits:
-        acc <<= 6 - nbits
-        chars.append(chr(acc + 63))
-    return "".join(chars)
+    n = g.n
+    if n > 62:
+        raise Graph6RangeError(f"short-form graph6 supports n <= 62, got n = {n}")
+    nbits = n * (n - 1) // 2
+    pad = -nbits % 6  # zero bits that fill the last 6-bit chunk
+    acc = _triangle(map(_column, g.rows, range(n))) << pad
+    chunks = range(nbits + pad - 6, -1, -6)
+    return chr(n + 63) + "".join(chr((acc >> shift & 63) + 63) for shift in chunks)
 
 
 def decode(text: str) -> Graph:
@@ -57,26 +49,19 @@ def decode(text: str) -> Graph:
         raise Graph6ParseError(
             f"expected {want} data bytes for n = {n}, got {len(s) - 1}", min(len(s), want + 1)
         )
-    bits = []
+    acc = 0
     for pos, ch in enumerate(s[1:], start=1):
         val = ord(ch) - 63
         if not 0 <= val <= 63:
             raise Graph6ParseError(f"invalid data byte {ch!r}", pos)
-        bits.extend((val >> shift) & 1 for shift in range(5, -1, -1))
-    for pos in range(nbits, len(bits)):
-        if bits[pos]:
-            raise Graph6ParseError("nonzero padding bits", 1 + pos // 6)
+        acc = acc << 6 | val
+    pad = -nbits % 6
+    if acc & ((1 << pad) - 1):
+        raise Graph6ParseError("nonzero padding bits", want)  # the last data byte
     if n == 0:
         raise Graph6ParseError("graphs on 0 vertices are not supported", 0)
-    rows = [0] * n
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            idx += 1
-    return _from_rows(n, rows)
+    bits = format(acc >> pad, f"0{nbits}b")
+    return from_edges(n, (pair for pair, bit in zip(_pairs(n), bits) if bit == "1"))
 
 
 def write_lines(graphs: Iterable[Graph]) -> str:

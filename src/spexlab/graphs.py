@@ -1,9 +1,12 @@
 """Bit-packed simple graphs and the named constructions.
 
-Adjacency is stored as one Python integer bitmask per vertex, so neighborhood
-intersection, union and popcount are word-parallel; that is what the
-containment search and the exhaustive enumeration spend their time on.
-Graphs are immutable and safe to share between tasks.
+A ``Graph`` is its rows, one Python integer bitmask per vertex, so
+neighborhood intersection, union and popcount are word-parallel; that is what
+the containment search and the exhaustive enumeration spend their time on.
+Graphs are immutable and safe to share between tasks. The representation is
+stated here once: ``_members`` lists a mask's set bits, and ``_pairs``,
+``_column`` and ``_triangle`` give the graph6 triangle order that the codec,
+canon and the orderly walker share.
 
 Vertex labelling of the constructions is fixed: join/clique vertices come
 first, then the independent or augmented part, so tests can rely on exact
@@ -43,15 +46,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected simple graph on vertices 0..n-1.
+    """Undirected simple graph on vertices 0..n-1, built from its rows.
 
-    ``rows[v]`` is the neighbor bitmask of ``v``; the relation is symmetric
-    and loop-free, and ``edge_count`` caches half the number of set bits.
+    ``rows[v]`` is the neighbor bitmask of ``v``; callers pass a tuple whose
+    relation is symmetric and loop-free. ``n`` and ``edge_count`` are read
+    off the rows, so they cannot disagree with them.
     """
 
-    n: int
     rows: tuple[int, ...]
-    edge_count: int
+
+    @property
+    def n(self) -> int:
+        return len(self.rows)
+
+    @cached_property
+    def edge_count(self) -> int:
+        return sum(r.bit_count() for r in self.rows) // 2
 
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
@@ -63,12 +73,11 @@ class Graph:
         return bool((self.rows[u] >> v) & 1)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(_bits(self.rows[v]))
+        return _members(self.rows[v])
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.n):
-            higher = self.rows[u] >> (u + 1)
-            for off in _bits(higher):
+        for u, row in enumerate(self.rows):
+            for off in _members(row >> (u + 1)):
                 yield (u, u + 1 + off)
 
     def with_edge(self, u: int, v: int) -> "Graph":
@@ -80,28 +89,26 @@ class Graph:
         rows = list(self.rows)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-        return Graph(self.n, tuple(rows), self.edge_count + 1)
+        return Graph(tuple(rows))
 
     def relabel(self, perm: tuple[int, ...]) -> "Graph":
         """Image under ``perm``: old vertex v becomes perm[v]."""
         rows = [0] * self.n
-        for v in range(self.n):
+        for v, row in enumerate(self.rows):
             mask = 0
-            for u in _bits(self.rows[v]):
+            for u in _members(row):
                 mask |= 1 << perm[u]
             rows[perm[v]] = mask
-        return Graph(self.n, tuple(rows), self.edge_count)
+        return Graph(tuple(rows))
 
     def subgraph(self, vertices: Iterable[int]) -> "Graph":
         """Induced subgraph; vertex i of the result is sorted(vertices)[i]."""
         verts = sorted(set(vertices))
         index = {v: i for i, v in enumerate(verts)}
-        rows = [0] * len(verts)
-        for v in verts:
-            for u in _bits(self.rows[v]):
-                if u in index:
-                    rows[index[v]] |= 1 << index[u]
-        return _from_rows(len(verts), rows)
+        kept = sum(1 << v for v in verts)
+        return Graph(tuple(
+            sum(1 << index[u] for u in _members(self.rows[v] & kept)) for v in verts
+        ))
 
     def components(self) -> list[tuple[int, ...]]:
         """Connected components as sorted vertex tuples, by smallest vertex."""
@@ -175,22 +182,20 @@ class Graph:
         return bits[:, : self.n].astype(np.float64)
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """The set bits of a small mask, lowest first; O(len(mask)) per bit."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _members(mask: int) -> tuple[int, ...]:
     """The set bits of a mask in increasing order, in time linear in its length.
 
-    ``_bits`` makes a pass over the mask per bit, so it lists only masks of
-    a few bits; the others are read off their binary digits in one pass.
+    Peeling the lowest bit makes a pass over the mask per bit, so only masks
+    of a few bits are peeled; the others are read off their binary digits in
+    one pass.
     """
     if mask.bit_count() <= 64:
-        return tuple(_bits(mask))
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return tuple(out)
     digits = bin(mask)[:1:-1]
     out, i = [], digits.find("1")
     while i >= 0:
@@ -223,10 +228,25 @@ def _lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _from_rows(n: int, rows: list[int]) -> Graph:
-    """Internal fast constructor; callers guarantee symmetry and no loops."""
-    edge_count = sum(r.bit_count() for r in rows) // 2
-    return Graph(n, tuple(rows), edge_count)
+def _pairs(n: int) -> list[tuple[int, int]]:
+    """Upper-triangle positions (i, j), i < j, column by column: the graph6 bit order."""
+    return [(i, j) for j in range(1, n) for i in range(j)]
+
+
+def _column(row: int, j: int) -> int:
+    """Column j of the triangle: row's bits at 0..j-1, bit 0 most significant."""
+    val = 0
+    for i in range(j):
+        val = val << 1 | (row >> i) & 1
+    return val
+
+
+def _triangle(cols: Iterable[int]) -> int:
+    """Columns 0, 1, .. (column j has j bits) packed into one int, column 0 first."""
+    acc = 0
+    for j, col in enumerate(cols):
+        acc = acc << j | col
+    return acc
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -240,7 +260,7 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise ParameterError(f"loop ({u}, {v}) is not allowed")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return _from_rows(n, rows)
+    return Graph(tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +277,7 @@ def complete_split(n: int, k: int) -> Graph:
         rows[v] = full & ~(1 << v)
     for v in range(k, n):
         rows[v] = (1 << k) - 1
-    return _from_rows(n, rows)
+    return Graph(tuple(rows))
 
 
 def complete_split_plus(n: int, k: int) -> Graph:
@@ -277,7 +297,7 @@ def complete_bipartite(a: int, b: int) -> Graph:
     amask = (1 << a) - 1
     bmask = ((1 << n) - 1) ^ amask
     rows = [bmask] * a + [amask] * b
-    return _from_rows(n, rows)
+    return Graph(tuple(rows))
 
 
 def bipartite_plus_edge(a: int, b: int) -> Graph:
@@ -311,7 +331,7 @@ def clique(t: int) -> Graph:
     if t < 1:
         raise ParameterError(f"clique needs t >= 1, got t={t}")
     full = (1 << t) - 1
-    return _from_rows(t, [full & ~(1 << v) for v in range(t)])
+    return Graph(tuple(full & ~(1 << v) for v in range(t)))
 
 
 def cycle(t: int) -> Graph:
@@ -327,12 +347,12 @@ def join(g: Graph, h: Graph) -> Graph:
     hfull = ((1 << n) - 1) ^ gfull
     rows = [g.rows[v] | hfull for v in range(g.n)]
     rows += [(h.rows[v] << g.n) | gfull for v in range(h.n)]
-    return _from_rows(n, rows)
+    return Graph(tuple(rows))
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     rows = list(g.rows) + [h.rows[v] << g.n for v in range(h.n)]
-    return _from_rows(g.n + h.n, rows)
+    return Graph(tuple(rows))
 
 
 # construction families by name: (builder, parameter names in call order)

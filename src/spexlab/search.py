@@ -58,7 +58,8 @@ and two workers: 8 and 16 tie at n = 8 (0.48 and 0.49 s; one worker 0.65 s),
 (19.4 against 22.9 s; one worker 35.1 s). The merge (sums, max, tie
 filtering, sorted argmax) is associative and commutative, so results are
 identical for any worker count. The worker count defaults to
-``os.cpu_count()``.
+``os.cpu_count()`` and is capped there: more processes than CPUs would only
+contend, so both the split and the pool use at most that many.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ from .canon import canonical_g6, is_canonically_labeled
 # search.family_membership by name, so the binding stays
 from .embed import contains_tree, family_membership  # noqa: F401
 from .errors import ParameterError
-from .graphs import Graph, _bits, _from_rows, complete_split, complete_split_plus
+from .graphs import Graph, _members, _pairs, complete_split, complete_split_plus
 from .schemas import dump_json
 from .spectral import (
     DEFAULT_TOL,
@@ -92,10 +93,6 @@ MAX_N = 10
 TIE_TOL = 1e-9
 BOUND_SLACK = 1e-6
 UNITS_PER_WORKER = 16
-
-
-def _pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for j in range(1, n) for i in range(j)]
 
 
 def _walk(
@@ -131,11 +128,11 @@ def _walk(
             child_rows = list(g.rows)
             child_rows[i] |= 1 << j
             child_rows[j] |= 1 << i
-            child = Graph(n, tuple(child_rows), g.edge_count + 1)
+            child = Graph(tuple(child_rows))
             if is_canonically_labeled(child):
                 yield from rec(child, pos, depth + 1, carried)
 
-    yield from rec(_from_rows(n, list(rows) or [0] * n), last, 0, None)
+    yield from rec(Graph(rows or (0,) * n), last, 0, None)
 
 
 def _twin_swap_earlier(twins: tuple[int, ...], i: int, j: int) -> bool:
@@ -197,7 +194,7 @@ class SearchReport:
 
 def _radius_upper_bound(g: Graph) -> float:
     degs = g.degrees()
-    return math.sqrt(max(sum(degs[u] for u in _bits(row)) for row in g.rows))
+    return math.sqrt(max(sum(degs[u] for u in _members(row)) for row in g.rows))
 
 
 def _fresh_state() -> dict:
@@ -265,10 +262,10 @@ def _scan(unit: tuple, cut: int = -1) -> tuple[dict, list[tuple]]:
 
 
 def _run_search(n: int, job: dict, workers: int | None) -> list[dict]:
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if workers < 1:
+    if workers is not None and workers < 1:
         raise ParameterError(f"workers must be at least 1, got {workers}")
+    cpus = os.cpu_count() or 1
+    workers = cpus if workers is None else min(workers, cpus)
     root = (n, (), -1, job)
     if workers == 1:
         return [_scan(root)[0]]

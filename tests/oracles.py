@@ -13,7 +13,7 @@ import itertools
 
 import numpy as np
 
-from spexlab.graphs import Graph, from_edges, _from_rows
+from spexlab.graphs import Graph, from_edges
 
 
 def prufer_tree(t: int, seq: tuple[int, ...]) -> Graph:
@@ -114,7 +114,7 @@ def all_labeled_graphs(n: int):
             if (bits >> p) & 1:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-        yield _from_rows(n, rows)
+        yield Graph(tuple(rows))
 
 
 def naive_contains(host: Graph, pattern: Graph) -> bool:

@@ -272,9 +272,17 @@ P4 = encode(path_graph(4))
         (["classify", "--family", "S", "--n", "12", "--k", "1"], None),
         (["audit", "--family", "S", "--n", "12", "--k", "1"], None),
         (["embed-lemma", "--tree", "@", "--target", "K", "--a", "0", "--b", "0"], None),
+        # I/O failures; {tmp} is a directory holding a non-ASCII file latin1.g6
+        (["construct", "--family", "S", "--n", "5", "--k", "2", "--output", "{tmp}"], None),
+        (["construct", "--family", "S", "--n", "5", "--k", "2",
+          "--output", "{tmp}/missing/out.g6"], None),
+        (["spectral", "--graph", "{tmp}/latin1.g6"], None),
+        (["ex", "--n", "6", "--tree", "{tmp}/latin1.g6"], None),
     ],
 )
-def test_out_of_range_inputs_are_refused(argv, stdin, monkeypatch, capsys):
+def test_out_of_range_inputs_are_refused(argv, stdin, monkeypatch, capsys, tmp_path):
+    (tmp_path / "latin1.g6").write_bytes("Bw \u00e9\n".encode("latin-1"))
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     if stdin is not None:
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     assert main(argv) == 2

@@ -179,7 +179,9 @@ class _SerialPool:
         return map(fn, reversed(self.units))
 
 
-def test_split_gives_every_worker_enough_units(monkeypatch):
+@pytest.fixture
+def serial_pools(monkeypatch):
+    """Every pool the search opens, as a ``_SerialPool``; no process starts."""
     pools = []
 
     class Context:
@@ -188,26 +190,33 @@ def test_split_gives_every_worker_enough_units(monkeypatch):
             return pools[-1]
 
     monkeypatch.setattr(search, "get_context", lambda method: Context())
+    return pools
+
+
+def test_split_gives_every_worker_enough_units(serial_pools, monkeypatch):
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
     report = spex_search(7, 2, workers=2).to_json()
-    (pool,) = pools
+    (pool,) = serial_pools
     assert pool.processes == 2
     assert len(pool.units) >= 2 * search.UNITS_PER_WORKER
     assert report == spex_search(7, 2, workers=1).to_json()
 
 
+def test_workers_are_capped_at_the_cpu_count(serial_pools, monkeypatch):
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    report = spex_search(7, 2, workers=10**6).to_json()
+    assert report == spex_search(7, 2, workers=2).to_json()
+    capped, two = serial_pools
+    assert capped.processes == two.processes == 2
+    assert capped.units == two.units  # the split follows the capped count too
+    assert report == spex_search(7, 2, workers=1).to_json()
+
+
 @pytest.mark.parametrize("cpus,processes", [(3, 3), (None, None)])
-def test_default_workers_is_the_machine_parallelism(cpus, processes, monkeypatch):
-    pools = []
-
-    class Context:
-        def Pool(self, processes):
-            pools.append(_SerialPool(processes))
-            return pools[-1]
-
+def test_default_workers_is_the_machine_parallelism(cpus, processes, serial_pools, monkeypatch):
     monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(search, "get_context", lambda method: Context())
     report = spex_search(7, 2).to_json()
-    assert [pool.processes for pool in pools] == ([processes] if processes else [])
+    assert [pool.processes for pool in serial_pools] == ([processes] if processes else [])
     assert report == spex_search(7, 2, workers=1).to_json()
 
 
@@ -286,8 +295,9 @@ def test_spex_ground_truth_matches_pruned():
     assert a.in_family_count == b.in_family_count
 
 
-def test_spex_reports_identical_across_workers_and_split():
+def test_spex_reports_identical_across_workers_and_split(monkeypatch):
     # the split follows the worker count, so each count cuts its own units
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 4)  # workers are capped there
     base = spex_search(7, 2, workers=1).to_json()
     assert hashlib.sha256(base.encode()).hexdigest() == (
         "01bbe43e4b433bbaeb433c995cfdd2fe37da3488fc97caa88a5da48f84c673a8"
