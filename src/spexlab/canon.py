@@ -15,18 +15,29 @@ automorphism; classes from ``Graph.twin_masks``) and vertices in its orbit
 under the recorded automorphisms fixing the prefix (complete labellings that
 tie the target).
 
-The (column, tie set) chain is carried down the recursion. When the tie set
+The engine is one loop with an explicit stack, so the label count is not
+bound by the recursion limit. It visits nodes depth first, candidates in
+increasing vertex order. Only a branch node, with two or more candidates,
+gets a stack frame: a forced step, with a single candidate, is taken in
+place, and a child whose column falls below the target is cut before it is
+entered. A frame keeps the automorphisms that fix its prefix, filtered once
+and again only after new ones are recorded.
+
+The (column, tie set) chain is carried down the search. When the tie set
 T has at least two vertices and v in T takes label d, the rest of T still
 attains the same column over the free vertices left, so the child's pair
 follows from one AND: ((T - v) & rows[v], 2 val + 1) when that is non-empty,
-else (T - v, 2 val). Only a forced step, with a single candidate, redoes
-the d ANDs. The accept test's target columns are read straight off the rows.
+else (T - v, 2 val). Only a forced step redoes the d ANDs. The accept
+test's target columns are read straight off the rows.
 
 ``canonical_form`` completes a column above the best greedily and installs it
 as the new best. ``is_canonically_labeled``, the accept test of the orderly
 enumeration in ``search``, fixes the identity labelling as the target and
-fails once a column beats it. ``graphs._column`` reads the identity's columns
-and ``graphs._triangle`` packs a column string, as in the graph6 codec.
+fails once a column beats it; when it accepts, it can hand back the
+automorphisms it recorded, which with the twin swaps generate a subgroup of
+Aut(g) that the walker prunes children with. ``graphs._column`` reads the
+identity's columns and ``graphs._triangle`` packs a column string, as in the
+graph6 codec.
 """
 
 from __future__ import annotations
@@ -35,7 +46,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import graph6
-from .graphs import Graph, _column, _members, _triangle
+from .graphs import Graph, _column, _triangle
 
 __all__ = [
     "CanonicalForm",
@@ -57,10 +68,6 @@ class CanonicalForm:
 
     data: bytes
     relabeling: tuple[int, ...]
-
-
-class _Exceeded(Exception):
-    """A column beat the identity labelling's column (test mode)."""
 
 
 def _top(rows: Sequence[int], assigned: Sequence[int], d: int, free: int) -> tuple[int, int]:
@@ -96,17 +103,72 @@ class _Search:
 
     def run(self) -> bool:
         """Search every labelling; False iff test mode saw the identity beaten."""
-        full = (1 << self.n) - 1
-        try:
-            self._descend(0, full, 0, full)
-        except _Exceeded:
-            return False
-        return True
+        rows, n, test, twins = self.rows, self.n, self.test, self.twins
+        assigned, best_cols, gens = self.assigned, self.best_cols, self.gens
+        full = (1 << n) - 1
+        # one frame per open branch node:
+        # [d, free, val, ties, todo, explored, stabiliser gens, len(gens) when filtered]
+        stack: list[list] = []
+        d, free, val, ties = 0, full, 0, full
+        while True:
+            # enter the node at label d; forced steps (one candidate) run inline
+            while True:
+                if d == n:  # a complete labelling tying the best string
+                    self._record_automorphism()
+                    break
+                target = best_cols[d]
+                if val < target:
+                    break
+                if val > target:
+                    if test:
+                        return False
+                    self._greedy(d, val, ties, free)
+                if ties & (ties - 1):
+                    stack.append([d, free, val, ties, ties, 0, (), -1])
+                    break
+                # one candidate: the chain restarts from the placed rows
+                assigned[d] = ties.bit_length() - 1
+                free ^= ties
+                d += 1
+                if free:
+                    val, ties = _top(rows, assigned, d, free)
+            # resume the innermost branch node that has a candidate left
+            while stack:
+                frame = stack[-1]
+                d, free, val, ties, todo, explored, stab, seen = frame
+                while todo:
+                    low = todo & -todo
+                    v = low.bit_length() - 1
+                    if explored:
+                        if seen != len(gens):  # new automorphisms: filter the stabiliser again
+                            prefix = full ^ free
+                            stab = [p for p, fixed in gens.items() if prefix & fixed == prefix]
+                            seen = len(gens)
+                        if stab and _orbit_hit(stab, v, explored):
+                            todo ^= low
+                            continue
+                    explored |= low
+                    todo &= ~twins[v]  # twins of an explored sibling are skipped
+                    assigned[d] = v
+                    # the other ties still attain val, so one AND extends the chain
+                    rest = ties ^ low
+                    hit = rest & rows[v]
+                    cval, cties = (val << 1 | 1, hit) if hit else (val << 1, rest)
+                    if cval >= best_cols[d + 1]:  # else the child is cut on entry
+                        break
+                else:
+                    stack.pop()
+                    continue
+                frame[4:] = todo, explored, stab, seen
+                d, free, val, ties = d + 1, free ^ low, cval, cties
+                break
+            else:
+                return True
 
     def _greedy(self, d: int, val: int, ties: int, free: int) -> None:
         """Install the greedy completion of the prefix as the new best."""
         asg = self.assigned[:d]
-        cols = self.best_cols[:d]
+        cols = []
         while True:
             v = (ties & -ties).bit_length() - 1
             asg.append(v)
@@ -115,7 +177,7 @@ class _Search:
             if not free:
                 break
             val, ties = _top(self.rows, asg, len(asg), free)
-        self.best_cols = cols
+        self.best_cols[d:] = cols
         self.best_assigned = tuple(asg)
 
     def _record_automorphism(self) -> None:
@@ -127,65 +189,37 @@ class _Search:
         if fixed != (1 << self.n) - 1:
             self.gens[perm] = fixed
 
-    def _orbit_hit(self, v: int, explored: int, prefix: int) -> bool:
-        """Is v mapped onto an explored sibling by automorphisms fixing the prefix?"""
-        gens = [g for g, fixed in self.gens.items() if prefix & fixed == prefix]
-        orbit = 1 << v
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for g in gens:
-                y = g[x]
-                if not (orbit >> y) & 1:
-                    if (explored >> y) & 1:
-                        return True
-                    orbit |= 1 << y
-                    stack.append(y)
+
+def _orbit_hit(gens: list[tuple[int, ...]], v: int, explored: int) -> bool:
+    """Do the automorphisms ``gens`` map v onto an explored sibling?"""
+    orbit = 1 << v
+    stack = [v]
+    while stack:
+        x = stack.pop()
+        for g in gens:
+            y = g[x]
+            if not (orbit >> y) & 1:
+                if (explored >> y) & 1:
+                    return True
+                orbit |= 1 << y
+                stack.append(y)
+    return False
+
+
+def is_canonically_labeled(g: Graph, automorphisms: list | None = None) -> bool:
+    """True iff the labelled graph equals its own canonical representative.
+
+    When the test accepts and ``automorphisms`` is a list, the automorphisms
+    the search recorded are appended to it, each as a tuple mapping vertex x
+    to ``perm[x]``. They generate a subgroup of Aut(g); together with the
+    twin swaps they are what the orderly walker prunes children with.
+    """
+    search = _Search(g, test=True)
+    if not search.run():
         return False
-
-    def _descend(self, d: int, free: int, val: int, ties: int) -> None:
-        """Branch at label d; (val, ties) is ``_top`` of the node, carried in."""
-        if d == self.n:
-            # a complete labelling tying the best string: an automorphism
-            self._record_automorphism()
-            return
-        target = self.best_cols[d]
-        if val < target:
-            return
-        if val > target:
-            if self.test:
-                raise _Exceeded
-            self._greedy(d, val, ties, free)
-        rows = self.rows
-        assigned = self.assigned
-        if not ties & (ties - 1):  # one candidate: the chain restarts from the placed rows
-            assigned[d] = ties.bit_length() - 1
-            free ^= ties
-            val, ties = _top(rows, assigned, d + 1, free)
-            self._descend(d + 1, free, val, ties)
-            return
-        prefix = ((1 << self.n) - 1) ^ free
-        twins = self.twins
-        explored = 0
-        for v in _members(ties):
-            if twins[v] & explored:
-                continue  # a twin of an explored sibling
-            if explored and self._orbit_hit(v, explored, prefix):
-                continue
-            explored |= 1 << v
-            assigned[d] = v
-            # the other ties still attain val, so one AND extends the chain
-            rest = ties ^ (1 << v)
-            hit = rest & rows[v]
-            if hit:
-                self._descend(d + 1, free ^ (1 << v), val << 1 | 1, hit)
-            else:
-                self._descend(d + 1, free ^ (1 << v), val << 1, rest)
-
-
-def is_canonically_labeled(g: Graph) -> bool:
-    """True iff the labelled graph equals its own canonical representative."""
-    return _Search(g, test=True).run()
+    if automorphisms is not None:
+        automorphisms.extend(search.gens)
+    return True
 
 
 def _pack(n: int, cols: list[int]) -> bytes:

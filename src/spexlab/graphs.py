@@ -95,20 +95,15 @@ class Graph:
         """Image under ``perm``: old vertex v becomes perm[v]."""
         rows = [0] * self.n
         for v, row in enumerate(self.rows):
-            mask = 0
-            for u in _members(row):
-                mask |= 1 << perm[u]
-            rows[perm[v]] = mask
+            rows[perm[v]] = _image(row, perm)
         return Graph(tuple(rows))
 
     def subgraph(self, vertices: Iterable[int]) -> "Graph":
         """Induced subgraph; vertex i of the result is sorted(vertices)[i]."""
         verts = sorted(set(vertices))
         index = {v: i for i, v in enumerate(verts)}
-        kept = sum(1 << v for v in verts)
-        return Graph(tuple(
-            sum(1 << index[u] for u in _members(self.rows[v] & kept)) for v in verts
-        ))
+        kept = _mask(verts)
+        return Graph(tuple(_image(self.rows[v] & kept, index) for v in verts))
 
     def components(self) -> list[tuple[int, ...]]:
         """Connected components as sorted vertex tuples, by smallest vertex."""
@@ -133,39 +128,15 @@ class Graph:
         partition the vertex set. The partition is equitable: all vertices
         of a class have the same number of neighbors in each class. Classes
         are sorted tuples, ordered by smallest vertex.
-
-        Open twins share a row; closed twins share the closed row
-        ``row | 1 << v``, which is formed only for vertices alone in their
-        open class. That keeps the cost linear in the row sizes where a large
-        class shares one row (an independent part), whose members' closed
-        rows would be distinct and up to n bits each.
         """
-        by_open: dict[int, list[int]] = {}
-        for v, row in enumerate(self.rows):
-            by_open.setdefault(row, []).append(v)
-        # by_open runs in order of smallest vertex, and a class is listed
-        # when its smallest vertex comes up, so the list needs no sort
-        classes: list[list[int]] = []
-        by_closed: dict[int, list[int]] = {}
-        for row, members in by_open.items():
-            if len(members) > 1:
-                classes.append(members)
-                continue
-            v = members[0]
-            closed = by_closed.setdefault(row | 1 << v, [])
-            if not closed:
-                classes.append(closed)
-            closed.append(v)
-        return tuple(map(tuple, classes))
+        return tuple(map(tuple, _twin_groups(self.rows)))
 
     @cached_property
     def twin_masks(self) -> tuple[int, ...]:
         """Bitmask of each vertex's twin class (see ``twin_classes``)."""
         masks = [0] * self.n
-        for members in self.twin_classes:
-            mask = 0
-            for v in members:
-                mask |= 1 << v
+        for members in _twin_groups(self.rows):
+            mask = _mask(members)
             for v in members:
                 masks[v] = mask
         return tuple(masks)
@@ -180,6 +151,34 @@ class Graph:
             bitorder="little",
         )
         return bits[:, : self.n].astype(np.float64)
+
+
+def _twin_groups(rows: tuple[int, ...]) -> list[list[int]]:
+    """The twin classes of ``Graph.twin_classes`` as sorted lists.
+
+    Open twins share a row; closed twins share the closed row
+    ``row | 1 << v``, which is formed only for vertices alone in their open
+    class. That keeps the cost linear in the row sizes where a large class
+    shares one row (an independent part), whose members' closed rows would
+    be distinct and up to n bits each.
+    """
+    by_open: dict[int, list[int]] = {}
+    for v, row in enumerate(rows):
+        by_open.setdefault(row, []).append(v)
+    # by_open runs in order of smallest vertex, and a class is listed when
+    # its smallest vertex comes up, so the list needs no sort
+    classes: list[list[int]] = []
+    by_closed: dict[int, list[int]] = {}
+    for row, members in by_open.items():
+        if len(members) > 1:
+            classes.append(members)
+            continue
+        v = members[0]
+        closed = by_closed.setdefault(row | 1 << v, [])
+        if not closed:
+            classes.append(closed)
+        closed.append(v)
+    return classes
 
 
 def _members(mask: int) -> tuple[int, ...]:
@@ -202,6 +201,36 @@ def _members(mask: int) -> tuple[int, ...]:
         out.append(i)
         i = digits.find("1", i + 1)
     return tuple(out)
+
+
+def _mask(bits: list[int]) -> int:
+    """The mask with the given bits set, the inverse of ``_members``.
+
+    ORing bits in one at a time copies the growing mask once per bit, so
+    many bits are written out as binary digits and read in one pass.
+    """
+    if len(bits) <= 64:
+        mask = 0
+        for b in bits:
+            mask |= 1 << b
+        return mask
+    top = max(bits)
+    digits = bytearray(b"0") * (top + 1)
+    for b in bits:
+        digits[top - b] = 49  # ord("1")
+    return int(digits, 2)
+
+
+def _image(row: int, img) -> int:
+    """The mask of the bits img[u] for the set bits u of row, in linear time."""
+    if row.bit_count() > 64:
+        return _mask([img[u] for u in _members(row)])
+    mask = 0
+    while row:
+        low = row & -row
+        mask |= 1 << img[low.bit_length() - 1]
+        row ^= low
+    return mask
 
 
 def _frontiers(g: Graph, start: int) -> Iterator[int]:

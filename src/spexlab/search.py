@@ -16,8 +16,14 @@ only at e and e'. If e' came earlier, g + e' would be lexicographically
 larger, which contradicts canonicity. Permuting a twin class (vertices with
 equal open, or equal closed, neighbourhoods; ``Graph.twin_masks``) is an
 automorphism, so a pair (i, j) is skipped when some earlier pair (a, b) has
-a != b, a a twin of i and b a twin of j. The skipped children would all be
-rejected; the stream and every report are unchanged.
+a != b, a a twin of i and b a twin of j. The accept test that admitted g
+has also recorded automorphisms of g (``is_canonically_labeled`` hands them
+back), so a pair is skipped too when its orbit under those and the twin
+swaps holds an earlier position. Any subset of Aut(g) is sound. A walk root
+has no accept test and so no recorded automorphisms: the unit roots of a
+split walk prune by twin swaps alone, which tests more children but never
+changes what is kept. The skipped children would all be rejected; the
+stream and every report are unchanged.
 
 One walker, ``_walk``, is the only copy of that DFS. It has two users:
 ``enumerate_graphs`` filters its stream, and ``_scan`` walks a subtree with
@@ -76,7 +82,7 @@ from .canon import canonical_g6, is_canonically_labeled
 # search.family_membership by name, so the binding stays
 from .embed import contains_tree, family_membership  # noqa: F401
 from .errors import ParameterError
-from .graphs import Graph, _members, _pairs, complete_split, complete_split_plus
+from .graphs import Graph, _pairs, complete_split, complete_split_plus
 from .schemas import dump_json
 from .spectral import (
     DEFAULT_TOL,
@@ -114,7 +120,7 @@ def _walk(
     pairs = _pairs(n)
     nbits = len(pairs)
 
-    def rec(g: Graph, last: int, depth: int, carried: object) -> Iterator[Graph]:
+    def rec(g: Graph, last: int, depth: int, carried: object, gens: list) -> Iterator[Graph]:
         yield g
         if visit is not None:
             carried = visit(g, last, depth, carried)
@@ -123,26 +129,54 @@ def _walk(
         twins = g.twin_masks
         for pos in range(last + 1, nbits):
             i, j = pairs[pos]
-            if _twin_swap_earlier(twins, i, j):
+            if _first_image(twins, i, j) < pos or gens and _orbit_earlier(gens, twins, i, j, pos):
                 continue
             child_rows = list(g.rows)
             child_rows[i] |= 1 << j
             child_rows[j] |= 1 << i
             child = Graph(tuple(child_rows))
-            if is_canonically_labeled(child):
-                yield from rec(child, pos, depth + 1, carried)
+            child_gens: list = []
+            if is_canonically_labeled(child, child_gens):
+                yield from rec(child, pos, depth + 1, carried, child_gens)
 
-    yield from rec(Graph(rows or (0,) * n), last, 0, None)
+    yield from rec(Graph(rows or (0,) * n), last, 0, None, [])
 
 
-def _twin_swap_earlier(twins: tuple[int, ...], i: int, j: int) -> bool:
-    """Does swapping twins map the non-edge (i, j), i < j, to an earlier position?
+def _first_image(twins: tuple[int, ...], x: int, y: int) -> int:
+    """Position of the earliest image of the pair {x, y} under twin swaps.
 
-    The earliest image of (i, j) is (a, b) for the least twin a of i and the
-    least twin b != a of j, so (i, j) is the earliest exactly when no twin of
-    i lies below i and no twin of j other than i lies below j.
+    That image is (a, b) for the least twin a of x and the least twin b != a
+    of y.
     """
-    return bool(twins[i] & ((1 << i) - 1) or twins[j] & ((1 << j) - 1) & ~(1 << i))
+    lo = twins[x] & -twins[x]
+    hi = twins[y] & ~lo
+    a, b = lo.bit_length() - 1, (hi & -hi).bit_length() - 1
+    return a * (a - 1) // 2 + b if a > b else b * (b - 1) // 2 + a
+
+
+def _orbit_earlier(gens: list, twins: tuple[int, ...], i: int, j: int, pos: int) -> bool:
+    """Do the automorphisms ``gens`` and the twin swaps map (i, j) before ``pos``?
+
+    Twin swaps map twin classes to twin classes, so each automorphism
+    normalises the group of twin swaps, and every element of the group both
+    generate is a twin swap after a product of ``gens``. So the walk follows
+    the orbit of (i, j) under ``gens`` alone and takes the earliest twin-swap
+    image of each pair it finds.
+    """
+    seen = {(i, j)}
+    stack = [(i, j)]
+    while stack:
+        x, y = stack.pop()
+        for s in gens:
+            a, b = s[x], s[y]
+            if _first_image(twins, a, b) < pos:
+                return True
+            if a > b:
+                a, b = b, a
+            if (a, b) not in seen:
+                seen.add((a, b))
+                stack.append((a, b))
+    return False
 
 
 def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
@@ -193,8 +227,19 @@ class SearchReport:
 
 
 def _radius_upper_bound(g: Graph) -> float:
-    degs = g.degrees()
-    return math.sqrt(max(sum(degs[u] for u in _members(row)) for row in g.rows))
+    """sqrt(max_v sum_{u ~ v} d(u)), peeling each row once against the degrees."""
+    rows = g.rows
+    degs = [row.bit_count() for row in rows]
+    top = 0
+    for row in rows:
+        total = 0
+        while row:
+            low = row & -row
+            total += degs[low.bit_length() - 1]
+            row ^= low
+        if total > top:
+            top = total
+    return math.sqrt(top)
 
 
 def _fresh_state() -> dict:

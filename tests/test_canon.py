@@ -167,6 +167,17 @@ def test_twin_heavy_forms_pinned():
             assert is_canonically_labeled(h) == (h.rows == rep.rows)
 
 
+def test_labels_past_the_recursion_limit():
+    # the search assigns labels in a loop: 1200 labels are more than the
+    # default recursion limit of 1000 frames
+    g = complete_split(1200, 2)
+    perm = list(range(g.n))
+    random.Random(12).shuffle(perm)
+    form = canonical_form(g)
+    assert canonical_form(g.relabel(tuple(perm))).data == form.data
+    assert is_canonically_labeled(g.relabel(form.relabeling))
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_is_canonically_labeled_matches_brute_force_lex_max(n):
     def column_bits(rows):

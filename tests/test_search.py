@@ -77,8 +77,28 @@ def test_twin_swap_skips_only_rejected_children(graphs_on_7):
     skipped = 0
     for g in [h for n in range(1, 7) for h in enumerate_graphs(n)] + graphs_on_7:
         pairs = [(i, j) for j in range(1, g.n) for i in range(j)]
-        for i, j in pairs[_last_position(g) + 1:]:
-            if search._twin_swap_earlier(g.twin_masks, i, j):
+        for pos in range(_last_position(g) + 1, len(pairs)):
+            i, j = pairs[pos]
+            if search._first_image(g.twin_masks, i, j) < pos:
+                skipped += 1
+                assert not is_canonically_labeled(g.with_edge(i, j)), (encode(g), i, j)
+    assert skipped > 0
+
+
+def test_orbit_skip_skips_only_rejected_children(graphs_on_7):
+    # the automorphisms an accepted test hands back prune only children that
+    # the accept test would reject
+    skipped = 0
+    for g in [h for n in range(1, 7) for h in enumerate_graphs(n)] + graphs_on_7:
+        gens = []
+        assert is_canonically_labeled(g, gens)
+        twins = g.twin_masks
+        pairs = [(i, j) for j in range(1, g.n) for i in range(j)]
+        for pos in range(_last_position(g) + 1, len(pairs)):
+            i, j = pairs[pos]
+            if search._first_image(twins, i, j) < pos:
+                continue
+            if search._orbit_earlier(gens, twins, i, j, pos):
                 skipped += 1
                 assert not is_canonically_labeled(g.with_edge(i, j)), (encode(g), i, j)
     assert skipped > 0
@@ -408,16 +428,16 @@ def test_walker_is_lazy_and_tests_through_the_module_global(monkeypatch):
     calls = [0]
     real = search.is_canonically_labeled
 
-    def counted(g):
+    def counted(g, automorphisms=None):
         calls[0] += 1
-        return real(g)
+        return real(g, automorphisms)
 
     monkeypatch.setattr(search, "is_canonically_labeled", counted)
     first = next(enumerate_graphs(10))
     assert (first.n, first.edge_count, calls[0]) == (10, 0, 0)
     calls[0] = 0
     assert sum(1 for _ in enumerate_graphs(7)) == CLASS_COUNTS[7]
-    assert calls[0] == 1549
+    assert calls[0] == 1281
     calls[0] = 0
     spex_search(7, 2, workers=1)
-    assert calls[0] == 945
+    assert calls[0] == 767

@@ -164,6 +164,15 @@ def test_disconnected_support_and_tiebreak():
     assert p.vector[0] == 0.0 and p.vector[2] == 1.0
 
 
+def test_tiebreak_past_the_recursion_limit():
+    # equal components are ordered by canonical form, which labels all 1100
+    # vertices of one copy: more than the default recursion limit of 1000
+    s = complete_split(1100, 2)
+    p = spectral_radius(disjoint_union(s, s))
+    assert p.radius == pytest.approx(split_radius_closed_form(1100, 2), rel=1e-12)
+    assert [v > 0 for v in p.vector] == [True] * 1100 + [False] * 1100
+
+
 def test_empty_graph():
     p = spectral_radius(from_edges(3, []))
     assert p.radius == 0.0
