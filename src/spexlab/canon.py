@@ -30,14 +30,16 @@ follows from one AND: ((T - v) & rows[v], 2 val + 1) when that is non-empty,
 else (T - v, 2 val). Only a forced step redoes the d ANDs. The accept
 test's target columns are read straight off the rows.
 
-``canonical_form`` completes a column above the best greedily and installs it
-as the new best. ``is_canonically_labeled``, the accept test of the orderly
-enumeration in ``search``, fixes the identity labelling as the target and
-fails once a column beats it; when it accepts, it can hand back the
-automorphisms it recorded, which with the twin swaps generate a subgroup of
-Aut(g) that the walker prunes children with. ``graphs._column`` reads the
-identity's columns and ``graphs._triangle`` packs a column string, as in the
-graph6 codec.
+``canonical_form`` starts from best columns of -1, below every column. A
+column above the best at label d replaces it and resets the deeper ones to
+-1, so the loop's own next path, lowest candidate first and never cut,
+completes the new best and installs its labelling at the leaf.
+``is_canonically_labeled``, the accept test of the orderly enumeration in
+``search``, fixes the identity labelling as the target and fails once a
+column beats it; when it accepts, it can hand back the automorphisms it
+recorded, which with the twin swaps generate a subgroup of Aut(g) that the
+walker prunes children with. ``graphs._column`` reads the identity's columns
+and ``graphs._triangle`` packs a column string, as in the graph6 codec.
 """
 
 from __future__ import annotations
@@ -83,111 +85,93 @@ def _top(rows: Sequence[int], assigned: Sequence[int], d: int, free: int) -> tup
     return val, ties
 
 
-class _Search:
-    """Branch-and-bound over labellings for the maximal column string."""
+def _search(g: Graph, test: bool) -> tuple[list[int], tuple[int, ...], dict] | None:
+    """Branch-and-bound over labellings for the maximal column string.
 
-    __slots__ = ("rows", "n", "test", "twins", "assigned", "best_cols", "best_assigned", "gens")
-
-    def __init__(self, g: Graph, test: bool):
-        rows = self.rows = g.rows
-        n = self.n = g.n
-        self.test = test
-        self.twins = g.twin_masks
-        self.assigned = [0] * n
-        self.best_assigned = tuple(range(n))
-        if test:  # the identity labelling's columns are the fixed target
-            self.best_cols = [_column(row, d) for d, row in enumerate(rows)]
-        else:  # below every column, so the root is completed greedily
-            self.best_cols = [-1] * n
-        self.gens: dict[tuple[int, ...], int] = {}  # automorphism -> fixed-point mask
-
-    def run(self) -> bool:
-        """Search every labelling; False iff test mode saw the identity beaten."""
-        rows, n, test, twins = self.rows, self.n, self.test, self.twins
-        assigned, best_cols, gens = self.assigned, self.best_cols, self.gens
-        full = (1 << n) - 1
-        # one frame per open branch node:
-        # [d, free, val, ties, todo, explored, stabiliser gens, len(gens) when filtered]
-        stack: list[list] = []
-        d, free, val, ties = 0, full, 0, full
+    Returns the best columns, one labelling attaining them (the vertex at each
+    label) and the recorded automorphisms, each mapped to its fixed-point
+    mask; None once test mode sees the identity beaten.
+    """
+    rows, n, twins = g.rows, g.n, g.twin_masks
+    full = (1 << n) - 1
+    assigned = [0] * n
+    if test:  # the identity labelling's columns are the fixed target
+        best_cols = [_column(row, d) for d, row in enumerate(rows)]
+        best_assigned = tuple(range(n))
+    else:  # below every column, so the first path sets the best
+        best_cols = [-1] * n
+        best_assigned = None  # None while the path being walked sets a new best
+    gens: dict[tuple[int, ...], int] = {}  # automorphism -> fixed-point mask
+    # one frame per open branch node:
+    # [d, free, val, ties, todo, explored, stabiliser gens, len(gens) when filtered]
+    stack: list[list] = []
+    d, free, val, ties = 0, full, 0, full
+    while True:
+        # enter the node at label d; forced steps (one candidate) run inline
         while True:
-            # enter the node at label d; forced steps (one candidate) run inline
-            while True:
-                if d == n:  # a complete labelling tying the best string
-                    self._record_automorphism()
-                    break
-                target = best_cols[d]
-                if val < target:
-                    break
-                if val > target:
-                    if test:
-                        return False
-                    self._greedy(d, val, ties, free)
-                if ties & (ties - 1):
-                    stack.append([d, free, val, ties, ties, 0, (), -1])
-                    break
-                # one candidate: the chain restarts from the placed rows
-                assigned[d] = ties.bit_length() - 1
-                free ^= ties
-                d += 1
-                if free:
-                    val, ties = _top(rows, assigned, d, free)
-            # resume the innermost branch node that has a candidate left
-            while stack:
-                frame = stack[-1]
-                d, free, val, ties, todo, explored, stab, seen = frame
-                while todo:
-                    low = todo & -todo
-                    v = low.bit_length() - 1
-                    if explored:
-                        if seen != len(gens):  # new automorphisms: filter the stabiliser again
-                            prefix = full ^ free
-                            stab = [p for p, fixed in gens.items() if prefix & fixed == prefix]
-                            seen = len(gens)
-                        if stab and _orbit_hit(stab, v, explored):
-                            todo ^= low
-                            continue
-                    explored |= low
-                    todo &= ~twins[v]  # twins of an explored sibling are skipped
-                    assigned[d] = v
-                    # the other ties still attain val, so one AND extends the chain
-                    rest = ties ^ low
-                    hit = rest & rows[v]
-                    cval, cties = (val << 1 | 1, hit) if hit else (val << 1, rest)
-                    if cval >= best_cols[d + 1]:  # else the child is cut on entry
-                        break
-                else:
-                    stack.pop()
-                    continue
-                frame[4:] = todo, explored, stab, seen
-                d, free, val, ties = d + 1, free ^ low, cval, cties
+            if d == n:
+                if best_assigned is None:  # the path that set the new best
+                    best_assigned = tuple(assigned)
+                else:  # a labelling tying the best differs from it by an automorphism
+                    phi = [0] * n
+                    for lbl, v in enumerate(best_assigned):
+                        phi[v] = assigned[lbl]
+                    perm = tuple(phi)
+                    fixed = sum(1 << x for x in range(n) if perm[x] == x)
+                    if fixed != full:
+                        gens[perm] = fixed
                 break
+            target = best_cols[d]
+            if val < target:
+                break
+            if val > target:
+                if test:
+                    return None
+                # a new best from label d on; no deeper target cuts its completion
+                best_cols[d] = val
+                best_cols[d + 1 :] = [-1] * (n - d - 1)
+                best_assigned = None
+            if ties & (ties - 1):
+                stack.append([d, free, val, ties, ties, 0, (), -1])
+                break
+            # one candidate: the chain restarts from the placed rows
+            assigned[d] = ties.bit_length() - 1
+            free ^= ties
+            d += 1
+            if free:
+                val, ties = _top(rows, assigned, d, free)
+        # resume the innermost branch node that has a candidate left
+        while stack:
+            frame = stack[-1]
+            d, free, val, ties, todo, explored, stab, seen = frame
+            while todo:
+                low = todo & -todo
+                v = low.bit_length() - 1
+                if explored:
+                    if seen != len(gens):  # new automorphisms: filter the stabiliser again
+                        prefix = full ^ free
+                        stab = [p for p, fixed in gens.items() if prefix & fixed == prefix]
+                        seen = len(gens)
+                    if stab and _orbit_hit(stab, v, explored):
+                        todo ^= low
+                        continue
+                explored |= low
+                todo &= ~twins[v]  # twins of an explored sibling are skipped
+                assigned[d] = v
+                # the other ties still attain val, so one AND extends the chain
+                rest = ties ^ low
+                hit = rest & rows[v]
+                cval, cties = (val << 1 | 1, hit) if hit else (val << 1, rest)
+                if cval >= best_cols[d + 1]:  # else the child is cut on entry
+                    break
             else:
-                return True
-
-    def _greedy(self, d: int, val: int, ties: int, free: int) -> None:
-        """Install the greedy completion of the prefix as the new best."""
-        asg = self.assigned[:d]
-        cols = []
-        while True:
-            v = (ties & -ties).bit_length() - 1
-            asg.append(v)
-            cols.append(val)
-            free ^= 1 << v
-            if not free:
-                break
-            val, ties = _top(self.rows, asg, len(asg), free)
-        self.best_cols[d:] = cols
-        self.best_assigned = tuple(asg)
-
-    def _record_automorphism(self) -> None:
-        phi = [0] * self.n
-        for lbl, v in enumerate(self.best_assigned):
-            phi[v] = self.assigned[lbl]
-        perm = tuple(phi)
-        fixed = sum(1 << x for x in range(self.n) if perm[x] == x)
-        if fixed != (1 << self.n) - 1:
-            self.gens[perm] = fixed
+                stack.pop()
+                continue
+            frame[4:] = todo, explored, stab, seen
+            d, free, val, ties = d + 1, free ^ low, cval, cties
+            break
+        else:
+            return best_cols, best_assigned, gens
 
 
 def _orbit_hit(gens: list[tuple[int, ...]], v: int, explored: int) -> bool:
@@ -214,11 +198,11 @@ def is_canonically_labeled(g: Graph, automorphisms: list | None = None) -> bool:
     to ``perm[x]``. They generate a subgroup of Aut(g); together with the
     twin swaps they are what the orderly walker prunes children with.
     """
-    search = _Search(g, test=True)
-    if not search.run():
+    found = _search(g, test=True)
+    if found is None:
         return False
     if automorphisms is not None:
-        automorphisms.extend(search.gens)
+        automorphisms.extend(found[2])
     return True
 
 
@@ -228,12 +212,11 @@ def _pack(n: int, cols: list[int]) -> bytes:
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
-    search = _Search(g, test=False)
-    search.run()
+    cols, best, _ = _search(g, test=False)
     relab = [0] * g.n
-    for label, v in enumerate(search.best_assigned):
+    for label, v in enumerate(best):
         relab[v] = label
-    return CanonicalForm(_pack(g.n, search.best_cols), tuple(relab))
+    return CanonicalForm(_pack(g.n, cols), tuple(relab))
 
 
 def canonical_graph(g: Graph) -> Graph:

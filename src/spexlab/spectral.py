@@ -33,7 +33,7 @@ import numpy as np
 
 from .canon import canonical_form
 from .errors import ConvergenceError, ParameterError
-from .graphs import Graph, shells
+from .graphs import Graph, _mask, _members, shells
 
 __all__ = [
     "PerronData",
@@ -287,8 +287,11 @@ def constants_with(
     eta = eta_0 if eta is None else float(eta)
     epsilon = epsilon_0 if epsilon is None else float(epsilon)
     alpha = 0.9 * _alpha_bound(k, eta_0, epsilon_0) if alpha is None else float(alpha)
-    if min(eta, epsilon, alpha) <= 0:
-        raise ParameterError("constants must be strictly positive")
+    if not all(math.isfinite(x) and x > 0 for x in (eta, epsilon, alpha)):
+        raise ParameterError(
+            f"constants must be finite and strictly positive, got eta={eta}, "
+            f"epsilon={epsilon}, alpha={alpha}"
+        )
     delta = epsilon * alpha / (500 * k**2)
     ok = (
         eta < _eta_bound(k)
@@ -329,7 +332,7 @@ def classify_vertices(g: Graph, p: PerronData, c: Constants) -> VertexPartition:
     mask = (1 << g.n) - 1
     for v in top:
         mask &= g.rows[v]
-    common = tuple(v for v in range(g.n) if (mask >> v) & 1)
+    common = _members(mask)
     rest = set(range(g.n)) - set(top) - set(common)
     return VertexPartition(large, small, mid, top, common, tuple(sorted(rest)))
 
@@ -376,9 +379,7 @@ def _num(x: float) -> str:
 
 
 def _edges_between(g: Graph, left, right) -> int:
-    rmask = 0
-    for v in right:
-        rmask |= 1 << v
+    rmask = _mask(right)
     return sum((g.rows[v] & rmask).bit_count() for v in left)
 
 

@@ -167,6 +167,35 @@ def test_twin_heavy_forms_pinned():
             assert is_canonically_labeled(h) == (h.rows == rep.rows)
 
 
+def test_handed_back_automorphisms_pinned(graphs_on_7):
+    # the accept test's verdict and the automorphisms it hands back, in
+    # recording order, over canonical and seeded relabelled inputs
+    hosts = [
+        from_edges(10, []),
+        complete_split(10, 3),
+        complete_bipartite(2, 8),
+        complete_split_plus(9, 2),
+    ]
+    graphs = [g for n in range(1, 7) for g in enumerate_graphs(n)] + graphs_on_7
+    graphs += hosts + [canonical_graph(g) for g in hosts]
+    rng = random.Random(20261020)
+    h = hashlib.sha256()
+    for g in graphs:
+        inputs = [g]
+        for _ in range(2):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            inputs.append(g.relabel(tuple(perm)))
+        for x in inputs:
+            auts = []
+            h.update(bytes([is_canonically_labeled(x, auts), len(auts)]))
+            for perm in auts:
+                h.update(bytes(perm))
+    assert h.hexdigest() == (
+        "d2cb4bd4f11b50fb6f6d5a1f99fb125a10a5b4010f1fb8f161e45e13998e68f5"
+    )
+
+
 def test_labels_past_the_recursion_limit():
     # the search assigns labels in a loop: 1200 labels are more than the
     # default recursion limit of 1000 frames

@@ -278,6 +278,11 @@ P4 = encode(path_graph(4))
           "--output", "{tmp}/missing/out.g6"], None),
         (["spectral", "--graph", "{tmp}/latin1.g6"], None),
         (["ex", "--n", "6", "--tree", "{tmp}/latin1.g6"], None),
+        # non-finite constant overrides
+        (["classify", "--family", "S", "--n", "10", "--k", "2", "--eta", "nan",
+          "--no-chain-check"], None),
+        (["audit", "--family", "S", "--n", "10", "--k", "2", "--alpha", "inf",
+          "--no-chain-check"], None),
     ],
 )
 def test_out_of_range_inputs_are_refused(argv, stdin, monkeypatch, capsys, tmp_path):

@@ -1,6 +1,9 @@
 """Imports inside the package run one way, down the module layers."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import spexlab
@@ -43,3 +46,12 @@ def test_relative_imports_point_down():
             assert RANK[target] < RANK[path.stem], f"{path.stem} imports {target}"
             checked += 1
     assert checked >= 30
+
+
+def test_importing_the_cli_leaves_jsonschema_unloaded():
+    # jsonschema is imported only when an output is validated
+    code = "import sys, spexlab.cli; print('jsonschema' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"
