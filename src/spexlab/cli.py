@@ -3,7 +3,8 @@
 One subcommand per operation group: construct, trees, spectral, classify,
 contains, membership, embed-lemma, spex, ex, audit, enumerate. Parsing
 never computes anything: it checks only the command line's shape; every
-range is checked once, by the library, before it computes.
+range is checked once, by the library, before it computes. A family
+parameter that the graph input does not read is refused.
 Execution buffers its entire output and emits it only on success, so failed
 invocations never print partial results.
 
@@ -70,18 +71,16 @@ def _build_parser() -> _Parser:
         p.add_argument("--format", "--out", dest="fmt", choices=choices, default=default)
         p.add_argument("--output", dest="out_path", default=None, metavar="PATH")
 
-    def graph_args(p, with_k=True, with_t=True, with_graph=True):
+    def graph_args(p, own=(), with_graph=True):
+        # ``own`` names the subcommand's own flags among the family parameters
         source = p.add_mutually_exclusive_group(required=True)
         if with_graph:
             source.add_argument("--graph", help="graph6 text, a file of graph6, or - for stdin")
         source.add_argument("--family", choices=tuple(FAMILIES))
-        p.add_argument("--n", type=int)
-        if with_k:
-            p.add_argument("--k", type=int)
-        p.add_argument("--a", type=int)
-        p.add_argument("--b", type=int)
-        if with_t:
-            p.add_argument("--t", type=int)
+        params = tuple(name for name in ("n", "k", "a", "b", "t") if name not in own)
+        for name in params:
+            p.add_argument(f"--{name}", type=int)
+        p.set_defaults(graph_params=params)
 
     def search_args(p):
         p.add_argument("--n", type=int, required=True)
@@ -113,7 +112,7 @@ def _build_parser() -> _Parser:
     fmt_arg(p, ("json", "table"))
 
     p = command("classify", _exec_classify, "weight classes of the Perron vector")
-    graph_args(p, with_k=False)
+    graph_args(p, own=("k",))
     p.add_argument("--k", type=int, required=True,
                    help="weight-class parameter; doubles as the family k for --family")
     constants_args(p)
@@ -126,7 +125,7 @@ def _build_parser() -> _Parser:
     fmt_arg(p, ("json", "table"))
 
     p = command("membership", _exec_membership, "does the graph miss a tree of the family")
-    graph_args(p, with_t=False)
+    graph_args(p, own=("t",))
     p.add_argument("--t", type=int, required=True, help="tree order of the family")
     fmt_arg(p, ("json", "table"))
 
@@ -148,7 +147,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--tree", required=True)
 
     p = command("audit", _exec_audit, "recompute the structural inequalities")
-    graph_args(p, with_k=False)
+    graph_args(p, own=("k",))
     p.add_argument("--k", type=int, required=True,
                    help="class parameter; doubles as the family k for --family")
     constants_args(p)
@@ -182,10 +181,18 @@ def _read_graph_arg(value: str) -> Graph:
 
 
 def _resolve_graph(ns) -> Graph:
+    """The input graph; a family-parameter flag it does not read is refused.
+
+    ``construct`` refuses one the family does not take; the subcommand's
+    own --k or --t is passed on only when the family reads it.
+    """
     if ns.family is None:
+        extra = [f"--{name}" for name in ns.graph_params if getattr(ns, name) is not None]
+        if extra:
+            raise UsageError(f"--graph does not take {', '.join(extra)}")
         return _read_graph_arg(ns.graph)
-    wanted = {name: getattr(ns, name) for name in family_parameters(ns.family)}
-    return construct(ns.family, **wanted)
+    names = (*ns.graph_params, *family_parameters(ns.family))
+    return construct(ns.family, **{name: getattr(ns, name) for name in names})
 
 
 def _resolve_constants(ns):
@@ -365,7 +372,7 @@ def _exec_audit(ns) -> str:
     c = _resolve_constants(ns)
     g = _resolve_graph(ns)
     p = spectral_radius(g, tol=ns.tol)
-    report = audit_extremal_lemmas(g, ns.k, c, p, tol=ns.tol)
+    report = audit_extremal_lemmas(g, c, p, tol=ns.tol)
     if ns.fmt == "jsonl":
         return "".join(
             json.dumps(_round_floats(e), sort_keys=True) + "\n" for e in report.to_dicts()

@@ -9,7 +9,9 @@ is dropped, and a failed one drops its whole host twin class with one
 AND-NOT. ``embed_constructive`` instead places trees into complete bipartite
 hosts (possibly with an edge, path or matching added to the large side) by
 explicit case analysis on the bipartition, and validates its output against
-the host before returning; a dead end there is a bug, not an answer.
+the host before returning; a dead end there is a bug, not an answer. Every
+case is one slot layout, ``_layout``; the cases differ only in which side
+comes first and which anchor vertices take the slots from a on.
 """
 
 from __future__ import annotations
@@ -195,34 +197,24 @@ def _host(target: str, a: int, b: int) -> Graph:
     return FAMILIES[target][0](a, b)
 
 
-def _direct(part_small, part_big, a: int) -> Embedding:
-    mapping = [0] * (len(part_small) + len(part_big))
-    for slot, v in enumerate(sorted(part_small)):
+def _layout(tree: Tree, first, second, anchors, a: int) -> Embedding:
+    """The one slot layout every constructive case uses.
+
+    ``first`` less the anchors takes slots 0, 1, ...; the anchors take slots
+    a, a+1, ... in order; ``second`` less the anchors follows them. Both
+    sides must be increasing, as ``Tree.part_a`` and ``part_b`` are, so the
+    slots follow label order.
+    """
+    mapping = [0] * tree.graph.n
+    for slot, v in enumerate(v for v in first if v not in anchors):
         mapping[v] = slot
-    for slot, v in enumerate(sorted(part_big), start=a):
+    for slot, v in enumerate((*anchors, *(v for v in second if v not in anchors)), start=a):
         mapping[v] = slot
     return Embedding(tuple(mapping))
 
 
 def _leaves(tree: Tree, within) -> list[int]:
-    return [v for v in sorted(within) if tree.graph.degree(v) == 1]
-
-
-def _one_leaf(tree: Tree, leaf: int, leaf_side, other_side, a: int) -> Embedding:
-    """One-leaf surgery: the leaf's edge lands on the added host edge (a, a+1).
-
-    The leaf's side less the leaf takes slots 0..a-1, its anchor slot a, the
-    leaf slot a+1, and the rest of the other side slots a+2 onwards.
-    """
-    (anchor,) = tree.graph.neighbors(leaf)
-    mapping = [0] * tree.graph.n
-    for slot, v in enumerate(sorted(set(leaf_side) - {leaf})):
-        mapping[v] = slot
-    mapping[anchor] = a
-    mapping[leaf] = a + 1
-    for slot, v in enumerate(sorted(set(other_side) - {anchor}), start=a + 2):
-        mapping[v] = slot
-    return Embedding(tuple(mapping))
+    return [v for v in within if tree.graph.degree(v) == 1]
 
 
 def _place(tree: Tree, target: str, a: int, b: int) -> tuple[Embedding, str]:
@@ -231,42 +223,35 @@ def _place(tree: Tree, target: str, a: int, b: int) -> tuple[Embedding, str]:
 
     if target == "K" or len(pa) <= a:
         # the small part always fits beside the a-side
-        return _direct(pa, pb, a), "direct"
+        return _layout(tree, pa, pb, (), a), "direct"
 
     if target == "K_plus":
         # both parts have a+1 vertices: drop the lowest leaf, embed the rest
         # into K(a, a+1), and reattach the leaf along the added edge
-        leaf = min(_leaves(tree, range(t)))
+        leaf = _leaves(tree, range(t))[0]
+    else:
+        # K_path or K_matching with parts (a+1, a+2): the same surgery on the
+        # lowest small-part leaf, if any; both hosts contain the edge (a, a+1)
+        leaf = next(iter(_leaves(tree, pa)), None)
+    if leaf is not None:
+        (anchor,) = tree.graph.neighbors(leaf)
         leaf_side, other_side = (pa, pb) if leaf in pa else (pb, pa)
-        return _one_leaf(tree, leaf, leaf_side, other_side, a), "leaf"
-
-    # K_path or K_matching with parts (a+1, a+2)
-    small_leaves = _leaves(tree, pa)
-    if small_leaves:
-        # same one-leaf surgery; both hosts contain the edge (a, a+1)
-        return _one_leaf(tree, min(small_leaves), pa, pb, a), "leaf"
+        return _layout(tree, leaf_side, other_side, (anchor, leaf), a), "leaf"
 
     if target == "K_path":
         # no leaf in the small part forces every small-part degree to be 2;
         # remove one such vertex and bridge its two neighbors with the path
-        v0 = min(pa)
+        v0 = pa[0]
         if tree.graph.degree(v0) != 2:
             raise EmbeddingCaseError(
                 "small part without leaves must be all degree 2; found degree "
                 f"{tree.graph.degree(v0)} at vertex {v0}"
             )
-        w1, w2 = sorted(tree.graph.neighbors(v0))
-        mapping = [0] * t
-        for slot, v in enumerate(sorted(set(pa) - {v0})):
-            mapping[v] = slot
-        mapping[w1] = a
-        mapping[v0] = a + 1
-        mapping[w2] = a + 2
-        for slot, v in enumerate(sorted(set(pb) - {w1, w2}), start=a + 3):
-            mapping[v] = slot
-        return Embedding(tuple(mapping)), "degree-two"
+        w1, w2 = tree.graph.neighbors(v0)
+        return _layout(tree, pa, pb, (w1, v0, w2), a), "degree-two"
 
     # K_matching residual case: two large-part leaves with distinct anchors
+    # land on the matching edges (a, a+1) and (a+2, a+3)
     big_leaves = _leaves(tree, pb)
     if len(big_leaves) < 2:
         raise EmbeddingCaseError(
@@ -281,13 +266,4 @@ def _place(tree: Tree, target: str, a: int, b: int) -> tuple[Embedding, str]:
             "all large-part leaves share one anchor, which the case analysis excludes"
         )
     (u2,) = tree.graph.neighbors(l2)
-    mapping = [0] * t
-    for slot, v in enumerate(sorted(set(pb) - {l1, l2})):
-        mapping[v] = slot
-    mapping[u1] = a
-    mapping[l1] = a + 1
-    mapping[u2] = a + 2
-    mapping[l2] = a + 3
-    for slot, v in enumerate(sorted(set(pa) - {u1, u2}), start=a + 4):
-        mapping[v] = slot
-    return Embedding(tuple(mapping)), "two-leaves"
+    return _layout(tree, pb, pa, (u1, l1, u2, l2), a), "two-leaves"

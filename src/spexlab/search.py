@@ -393,7 +393,7 @@ def spex_search(
     constants = default_constants(k)
     for g6 in argmax:
         g = graph6.decode(g6)
-        report = audit_extremal_lemmas(g, k, constants, spectral_radius(g))
+        report = audit_extremal_lemmas(g, constants, spectral_radius(g))
         audit[g6] = report.to_dicts()
     return SearchReport(
         kind="spex",

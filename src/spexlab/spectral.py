@@ -384,14 +384,16 @@ def _edges_between(g: Graph, left, right) -> int:
 
 
 def audit_extremal_lemmas(
-    g: Graph, k: int, c: Constants, p: PerronData, tol: float = DEFAULT_TOL
+    g: Graph, c: Constants, p: PerronData, tol: float = DEFAULT_TOL
 ) -> AuditReport:
     """Recompute every structural inequality on g and report margins.
 
-    Entries report, never raise: the inequalities are proved for spectral
-    extremal graphs at large vertex counts, so failures on concrete small
-    graphs are data, not errors.
+    The class parameter k is ``c.k``, so the bounds and the weight classes
+    come from one chain. Entries report, never raise: the inequalities are
+    proved for spectral extremal graphs at large vertex counts, so failures
+    on concrete small graphs are data, not errors.
     """
+    k = c.k
     if k < 1:
         raise ParameterError(f"audit needs k >= 1, got k={k}")
     n = g.n

@@ -191,7 +191,7 @@ def test_criterion_8_perron_structure_at_scale():
     assert part.top == (0, 1)
     assert len(part.top) == 2
     assert part.exceptional == ()
-    report = audit_extremal_lemmas(g, 2, constants, p)
+    report = audit_extremal_lemmas(g, constants, p)
     assert report.entry("exceptional-empty").passed
     entry = report.entry("common-neighborhood-edges")
     assert entry.passed and entry.margin == 1.0  # e(R) = 0

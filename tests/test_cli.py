@@ -283,6 +283,10 @@ P4 = encode(path_graph(4))
           "--no-chain-check"], None),
         (["audit", "--family", "S", "--n", "10", "--k", "2", "--alpha", "inf",
           "--no-chain-check"], None),
+        # family parameters that the input does not read
+        (["construct", "--family", "K", "--a", "2", "--b", "3", "--n", "5"], None),
+        (["spectral", "--family", "path", "--t", "5", "--n", "9"], None),
+        (["spectral", "--graph", "A_", "--n", "7"], None),
     ],
 )
 def test_out_of_range_inputs_are_refused(argv, stdin, monkeypatch, capsys, tmp_path):

@@ -310,6 +310,24 @@ def test_constructive_mappings_and_cases_pinned():
     assert _lines_sha256(lines) == "ce87bf7d2de093622e6b002c60eb29fcbd99e6be7aa1792c554788f2f693d16c"
 
 
+def test_constructive_mappings_and_cases_pinned_on_relabelled_trees():
+    # generate_trees labels by level sequence; seeded relabellings read
+    # through tree_from_graph give the parts and leaves other label orders
+    jobs = [(target, a, b, tree) for target, a, b, family in _bipartite_jobs() for tree in family]
+    jobs += [("K", t // 2, t - 1, tree) for t in range(2, 12) for tree in generate_trees(t)]
+    rng = random.Random(2203)
+    lines = []
+    for target, a, b, tree in jobs:
+        for _ in range(2):
+            perm = list(range(tree.graph.n))
+            rng.shuffle(perm)
+            relabelled = tree_from_graph(tree.graph.relabel(tuple(perm)))
+            emb, case = constructive_with_case(relabelled, target, a, b)
+            lines.append(repr((emb.mapping, case)))
+    assert len(lines) == 8618
+    assert _lines_sha256(lines) == "609b3ca31d4fb546deae991626149a158b17964b7b0a403da66405e476aa0b9c"
+
+
 def test_agreement_with_naive_oracle_on_twin_heavy_hosts():
     # large twin classes (independent parts, bipartite sides) are where a
     # failed candidate drops its whole class at once

@@ -322,7 +322,7 @@ def test_no_dense_adjacency(monkeypatch):
     for g in (complete_split(1000, 2), disjoint_union(cycle(4), from_edges(3, []))):
         p = spectral_radius(g)
         assert p.residual <= 1e-12
-        assert len(audit_extremal_lemmas(g, 2, c, p).entries) == 18
+        assert len(audit_extremal_lemmas(g, c, p).entries) == 18
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +411,7 @@ def test_audit_on_regular_graph_reports_failures():
     g = cycle(9)
     p = spectral_radius(g)
     c = default_constants(2)
-    report = audit_extremal_lemmas(g, 2, c, p)
+    report = audit_extremal_lemmas(g, c, p)
     entry = report.entry("top-weight-size")
     assert not entry.passed
     assert entry.margin == 7.0  # |L'| = 9 vs k = 2
@@ -423,7 +423,7 @@ def test_audit_margins_recompute():
     g = complete_split(40, 2)
     p = spectral_radius(g)
     c = default_constants(2)
-    report = audit_extremal_lemmas(g, 2, c, p)
+    report = audit_extremal_lemmas(g, c, p)
     e = report.entry("radius-upper")
     assert e.margin == pytest.approx(math.sqrt(10 * 40) - p.radius, abs=1e-9)
     e = report.entry("neighborhood-weight-floor")
@@ -438,7 +438,7 @@ def test_audit_never_raises_on_failures():
     c = default_constants(2)
     for _ in range(10):
         g = random_connected(rng, 8)
-        report = audit_extremal_lemmas(g, 2, c, spectral_radius(g))
+        report = audit_extremal_lemmas(g, c, spectral_radius(g))
         assert len(report.entries) == 18
         for e in report.entries:
             assert isinstance(e.passed, bool)
@@ -448,7 +448,7 @@ def test_audit_json_round_trip():
     import json
 
     g = complete_split(20, 2)
-    report = audit_extremal_lemmas(g, 2, default_constants(2), spectral_radius(g))
+    report = audit_extremal_lemmas(g, default_constants(2), spectral_radius(g))
     for d in report.to_dicts():
         parsed = json.loads(json.dumps(d))
         assert set(parsed) == {"lemma", "inequality", "pass", "margin"}
@@ -497,7 +497,7 @@ def audit_corpus_reports():
     for g, k in _audit_corpus():
         p = spectral_radius(g)
         for c in _constant_sets(k):
-            out.append((c, audit_extremal_lemmas(g, k, c, p)))
+            out.append((c, audit_extremal_lemmas(g, c, p)))
     return out
 
 
