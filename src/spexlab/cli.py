@@ -309,6 +309,9 @@ def _exec_contains(ns) -> str:
 
 
 def _exec_membership(ns) -> str:
+    if ns.family is not None and "t" in family_parameters(ns.family):
+        raise UsageError(f"--t is the tree order, not the size of {ns.family}; "
+                         "pass the host with --graph")
     check_order(ns.t)
     g = _resolve_graph(ns)
     fam = generate_trees(ns.t)

@@ -35,7 +35,7 @@ names the excluded trees (the whole family for spex, the one tree for ex),
 whether to prune, whether only connected graphs count, and the objective.
 The objective is the only difference: with no radius seed it is the edge
 count (ex), otherwise the spectral radius (spex). One ledger, ``_offer``,
-keeps the best value and its ties for both.
+keeps the best value and its ties within TIE_TOL for both.
 
 Two exact monotone facts allow subtree pruning without changing results: a
 graph containing every excluded tree only gains trees when edges are added,
@@ -246,12 +246,12 @@ def _fresh_state() -> dict:
     return {"examined": 0, "in_family": 0, "best": None, "cands": []}
 
 
-def _offer(state: dict, value: float | int, g: Graph, tie_tol: float) -> None:
+def _offer(state: dict, value: float | int, g: Graph) -> None:
     """Record a candidate: a new best drops the ties it leaves behind."""
     if state["best"] is None or value > state["best"]:
         state["best"] = value
-        state["cands"] = [c for c in state["cands"] if c[0] >= value - tie_tol]
-    if value >= state["best"] - tie_tol:
+        state["cands"] = [c for c in state["cands"] if c[0] >= value - TIE_TOL]
+    if value >= state["best"] - TIE_TOL:
         state["cands"].append((value, graph6.encode(g)))
 
 
@@ -275,12 +275,12 @@ def _process(
     state["in_family"] += 1
     seed = job["seed"]
     if seed is None:
-        _offer(state, g.edge_count, g, 0)
+        _offer(state, g.edge_count, g)
         return missing
     threshold = seed if state["best"] is None else max(state["best"], seed)
     if job["prune"] and _radius_upper_bound(g) < threshold - BOUND_SLACK:
         return missing
-    _offer(state, spectral_radius(g).radius, g, TIE_TOL)
+    _offer(state, spectral_radius(g).radius, g)
     return missing
 
 
@@ -325,7 +325,7 @@ def _run_search(n: int, job: dict, workers: int | None) -> list[dict]:
     return parts
 
 
-def _merge(parts: list[dict], tie_tol: float) -> tuple[int, int, float | int | None, tuple]:
+def _merge(parts: list[dict]) -> tuple[int, int, float | int | None, tuple]:
     examined = sum(p["examined"] for p in parts)
     in_family = sum(p["in_family"] for p in parts)
     bests = [p["best"] for p in parts if p["best"] is not None]
@@ -333,7 +333,7 @@ def _merge(parts: list[dict], tie_tol: float) -> tuple[int, int, float | int | N
         return examined, in_family, None, ()
     best = max(bests)
     winners = sorted(
-        {g6 for p in parts for value, g6 in p["cands"] if value >= best - tie_tol}
+        {g6 for p in parts for value, g6 in p["cands"] if value >= best - TIE_TOL}
     )
     return examined, in_family, best, tuple(winners)
 
@@ -375,7 +375,7 @@ def spex_search(
         "seed": closed - BOUND_SLACK,
     }
     parts = _run_search(n, job, workers)
-    examined, in_family, best, argmax = _merge(parts, TIE_TOL)
+    examined, in_family, best, argmax = _merge(parts)
 
     reference = complete_split_plus(n, k) if prime else complete_split(n, k)
     ref_g6 = canonical_g6(reference)
@@ -430,7 +430,7 @@ def ex_search(
         raise ParameterError(f"ex search needs |T| <= n <= {MAX_N}, got |T|={t}, n={n}")
     job = {"trees": (tree,), "prune": bool(prune), "connected_only": False, "seed": None}
     parts = _run_search(n, job, workers)
-    examined, in_family, best, argmax = _merge(parts, 0)
+    examined, in_family, best, argmax = _merge(parts)
     lower = (t - 2) * n / 2
     upper = (t - 2) * n
     comparison = {

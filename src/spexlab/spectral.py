@@ -18,8 +18,9 @@ float64 vector only once its residual on A, measured in extended precision,
 is within the tolerance. A start that already passes costs one step. Both
 starts are deterministic.
 
-Each audit inequality is stated once, as its margin (satisfied side minus
-required side); pass/fail is the margin's sign under the relation. For
+Each audit inequality is stated once, as its margin, non-negative exactly
+on the passing side (positive for ``<``) and, for ``==``, 0 exactly when
+the sides are equal; pass/fail is the margin's sign under the relation. For
 finite doubles b - a has the sign of the exact difference and is 0 only
 when a == b, so the rule decides exactly what the comparison would.
 """
@@ -257,7 +258,7 @@ def _eta_bound(k: int) -> float:
 
 
 def _epsilon_bound(k: int, eta: float) -> float:
-    return min(eta, eta / 2, 1 / (8 * k**3), eta / (32 * k**3 + 2))
+    return min(eta / 2, 1 / (8 * k**3), eta / (32 * k**3 + 2))
 
 
 def _alpha_bound(k: int, eta: float, epsilon: float) -> float:
@@ -345,7 +346,10 @@ def classify_vertices(g: Graph, p: PerronData, c: Constants) -> VertexPartition:
 class AuditEntry:
     """One checked inequality: identifier, rendering with numbers, outcome.
 
-    ``margin`` is (satisfied side - required side) recomputed from the graph;
+    ``margin`` is recomputed from the graph: value - floor for ``>=``,
+    bound - value for one-sided ``<=`` and ``<``, so it is non-negative
+    exactly on the passing side (positive for ``<``); for ``==`` it is 0
+    exactly when the sides are equal.
     None marks a vacuous check (a minimum over an empty set). ``passed`` is
     the margin's sign under the relation: a vacuous check passes, ``==``
     passes at 0, ``<`` above 0, ``<=`` and ``>=`` at 0 or above.
@@ -376,6 +380,11 @@ class AuditReport:
 
 def _num(x: float) -> str:
     return f"{x:.6g}"
+
+
+def _show(value) -> str:
+    # a count or degree as is, a real in six digits, a minimum over nothing as vacuous
+    return "vacuous" if value is None else str(value) if isinstance(value, int) else _num(value)
 
 
 def _edges_between(g: Graph, left, right) -> int:
@@ -414,28 +423,26 @@ def audit_extremal_lemmas(
             passed = margin >= 0
         entries.append(AuditEntry(lemma, f"{satisfied} {relation} {required}", passed, margin))
 
+    def at_least(lemma, name, value, floor):
+        add(lemma, f"{name} = {_show(value)}", _num(floor), ">=",
+            None if value is None else value - floor)
+
+    def at_most(lemma, name, value, bound, relation="<="):
+        add(lemma, f"{name} = {_show(value)}", _num(bound), relation, float(bound - value))
+
     # size of the large-weight class and of the mid-weight class
-    bound = 5 * math.sqrt(k * n) / c.alpha
-    add("large-weight-count", f"|L| = {len(part.large)}", _num(bound), "<=",
-        bound - len(part.large))
-    bound = 15 * math.sqrt(k * n) / c.alpha
-    add("mid-weight-count", f"|M| = {len(part.mid)}", _num(bound), "<=",
-        bound - len(part.mid))
-    bound = 500 * k**2 / c.alpha
-    add("large-weight-count-refined", f"|L| = {len(part.large)}", _num(bound), "<=",
-        bound - len(part.large))
+    at_most("large-weight-count", "|L|", len(part.large), 5 * math.sqrt(k * n) / c.alpha)
+    at_most("mid-weight-count", "|M|", len(part.mid), 15 * math.sqrt(k * n) / c.alpha)
+    at_most("large-weight-count-refined", "|L|", len(part.large), 500 * k**2 / c.alpha)
 
     # linear degree floor on the large-weight class
-    floor = c.alpha * n / (10 * (4 * k + 3))
-    m = min((degs[v] for v in part.large), default=None)
-    add("large-weight-degree-floor",
-        f"min degree over L = {m if m is not None else 'vacuous'}", _num(floor), ">=",
-        None if m is None else m - floor)
+    at_least("large-weight-degree-floor", "min degree over L",
+             min((degs[v] for v in part.large), default=None),
+             c.alpha * n / (10 * (4 * k + 3)))
 
     # degree of a top-weight vertex tracks its weight
-    m = min((degs[v] - (x[v] - c.epsilon) * n for v in part.top), default=None)
-    add("top-weight-degree", "min over L' of d(v) - (x_v - eps) n"
-        f" = {('vacuous' if m is None else _num(m))}", "0", ">=", m)
+    at_least("top-weight-degree", "min over L' of d(v) - (x_v - eps) n",
+             min((degs[v] - (x[v] - c.epsilon) * n for v in part.top), default=None), 0)
 
     # edge window around the maximum-weight vertex
     sh = shells(g, p.z)
@@ -455,43 +462,32 @@ def audit_extremal_lemmas(
     add("top-weight-size", f"|L'| = {len(part.top)}", str(k), "==", float(len(part.top) - k))
 
     # top-weight vertices have near-full degree and near-maximal weight
-    floor = (1 - 1 / (8 * k**3)) * n
-    m = min((degs[v] for v in part.top), default=None)
-    add("top-weight-degree-floor",
-        f"min degree over L' = {m if m is not None else 'vacuous'}", _num(floor), ">=",
-        None if m is None else m - floor)
-    floor = 1 - 1 / (16 * k**3)
-    m = min((x[v] for v in part.top), default=None)
-    add("top-weight-floor",
-        f"min weight over L' = {('vacuous' if m is None else _num(m))}", _num(floor), ">=",
-        None if m is None else m - floor)
+    at_least("top-weight-degree-floor", "min degree over L'",
+             min((degs[v] for v in part.top), default=None), (1 - 1 / (8 * k**3)) * n)
+    at_least("top-weight-floor", "min weight over L'",
+             min((x[v] for v in part.top), default=None), 1 - 1 / (16 * k**3))
 
     # every neighborhood carries almost k units of weight: (Ax)_v
     nbr = _neighbours(g)
     xv = np.asarray(x)
-    floor = k - 1 / (16 * k**2)
-    m = float(_matvec(nbr, xv).min())
-    add("neighborhood-weight-floor", f"min_v sum of weights over N(v) = {_num(m)}",
-        _num(floor), ">=", m - floor)
+    at_least("neighborhood-weight-floor", "min_v sum of weights over N(v)",
+             float(_matvec(nbr, xv).min()), k - 1 / (16 * k**2))
 
     # the exceptional class vanishes; the common neighborhood is nearly independent
     add("exceptional-empty", f"|E| = {len(part.exceptional)}", "0", "==",
         float(-len(part.exceptional)))
-    er = _edges_between(g, part.common, part.common) // 2
-    add("common-neighborhood-edges", f"e(R) = {er}", "1", "<=", float(1 - er))
+    at_most("common-neighborhood-edges", "e(R)",
+            _edges_between(g, part.common, part.common) // 2, 1)
 
     # connectivity and the global weight floor
     ncomp = len(g.components())
     add("connected", f"components = {ncomp}", "1", "==", float(1 - ncomp))
-    m = min(x)
-    floor = 1 / lam if lam > 0 else 0.0
-    add("weight-floor", f"min weight = {_num(m)}", _num(floor), ">=", m - floor)
+    at_least("weight-floor", "min weight", min(x), 1 / lam if lam > 0 else 0.0)
 
     # radius window
-    hi = math.sqrt((4 * k + 2) * n)
-    add("radius-upper", f"radius = {_num(lam)}", _num(hi), "<", hi - lam)
-    lo = split_radius_closed_form(n, k) if k < n else float(k - 1)
-    add("radius-lower", f"radius = {_num(lam)}", _num(lo), ">=", lam - lo)
+    at_most("radius-upper", "radius", lam, math.sqrt((4 * k + 2) * n), "<")
+    at_least("radius-lower", "radius", lam,
+             split_radius_closed_form(n, k) if k < n else float(k - 1))
 
     # the mechanism ruling out a nonempty exceptional class: its induced
     # subgraph would need spectral radius at least (4 / 5k) of the whole
@@ -500,15 +496,11 @@ def audit_extremal_lemmas(
         sub_lam = spectral_radius(sub, tol=max(tol, 1e-10)).radius
     else:
         sub_lam = 0.0
-    req = 4 * lam / (5 * k)
-    add("exceptional-subgraph-radius", f"radius of G[E] = {_num(sub_lam)}", _num(req),
-        ">=", sub_lam - req)
+    at_least("exceptional-subgraph-radius", "radius of G[E]", sub_lam, 4 * lam / (5 * k))
 
     # second-degree eigen identity, evaluated with the computed pair; drift
     # beyond 10 tol n is numeric rather than structural
     dev = float(np.max(np.abs(_matvec(nbr, _matvec(nbr, xv)) - lam * lam * xv)))
-    allowance = 10 * tol * n
-    add("second-degree-residual", f"max deviation = {_num(dev)}", _num(allowance), "<=",
-        allowance - dev)
+    at_most("second-degree-residual", "max deviation", dev, 10 * tol * n)
 
     return AuditReport(tuple(entries))

@@ -209,6 +209,23 @@ def test_audit_json_lines():
     assert not by_lemma["top-weight-size"]["pass"]
 
 
+# sha256 of the audit at large n, where the weight classes are long masks
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (["--family", "S", "--n", "100000", "--k", "2", "--format", "jsonl"],
+         "9d551a07060d215864d974a3a455b0077bdf38467d1d8eaf9c26e44016ea4aa6"),
+        (["--family", "S_plus", "--n", "100000", "--k", "2", "--format", "jsonl"],
+         "15f8d070c9df53b1458a1289769ad31e3e69d311e1aa453ed78b0de7cf7a0b10"),
+        (["--family", "K_plus", "--a", "2", "--b", "400", "--k", "2", "--format", "table"],
+         "ec8e095125a9ab0009b70a5e6c6cbc3e5811b711a4b8f11d67b06c8bfd0ab70d"),
+    ],
+)
+def test_audit_at_large_n_pinned(argv, digest):
+    _, text = run_cli(["audit"] + argv)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_enumerate_count_and_json():
     code, text = run_cli(["enumerate", "--n", "6", "--count"])
     assert code == 0 and text == "156\n"
@@ -287,6 +304,7 @@ P4 = encode(path_graph(4))
         (["construct", "--family", "K", "--a", "2", "--b", "3", "--n", "5"], None),
         (["spectral", "--family", "path", "--t", "5", "--n", "9"], None),
         (["spectral", "--graph", "A_", "--n", "7"], None),
+        (["membership", "--family", "cycle", "--t", "6"], None),
     ],
 )
 def test_out_of_range_inputs_are_refused(argv, stdin, monkeypatch, capsys, tmp_path):
