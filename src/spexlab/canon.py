@@ -9,17 +9,17 @@ One branch-and-bound engine over bitmasks assigns labels 0, 1, ... in turn;
 vertex v at label d fixes column d, v's adjacency bits against the placed
 labels (label 0 most significant). d bitwise ANDs over the placed rows give
 the largest column a free vertex can take and its tie set. A column below the
-target cuts the node; otherwise the engine branches on the tie set from the
+best cuts the node; otherwise the engine branches on the tie set from the
 lowest vertex, skipping twins of an explored sibling (the swap is an
 automorphism; classes from ``Graph.twin_masks``) and vertices in its orbit
 under the recorded automorphisms fixing the prefix (complete labellings that
-tie the target).
+tie the best).
 
 The engine is one loop with an explicit stack, so the label count is not
 bound by the recursion limit. It visits nodes depth first, candidates in
 increasing vertex order. Only a branch node, with two or more candidates,
 gets a stack frame: a forced step, with a single candidate, is taken in
-place, and a child whose column falls below the target is cut before it is
+place, and a child whose column falls below the best is cut before it is
 entered. A frame keeps the automorphisms that fix its prefix, filtered once
 and again only after new ones are recorded.
 
@@ -27,19 +27,20 @@ The (column, tie set) chain is carried down the search. When the tie set
 T has at least two vertices and v in T takes label d, the rest of T still
 attains the same column over the free vertices left, so the child's pair
 follows from one AND: ((T - v) & rows[v], 2 val + 1) when that is non-empty,
-else (T - v, 2 val). Only a forced step redoes the d ANDs. The accept
-test's target columns are read straight off the rows.
+else (T - v, 2 val). Only a forced step redoes the d ANDs.
 
-``canonical_form`` starts from best columns of -1, below every column. A
-column above the best at label d replaces it and resets the deeper ones to
--1, so the loop's own next path, lowest candidate first and never cut,
-completes the new best and installs its labelling at the leaf.
-``is_canonically_labeled``, the accept test of the orderly enumeration in
-``search``, fixes the identity labelling as the target and fails once a
-column beats it; when it accepts, it can hand back the automorphisms it
+Both modes start from best columns of -1, below every column. A column above
+the best at label d replaces it and resets the deeper ones to -1, so the
+loop's own next path, lowest candidate first and never cut, completes the new
+best and installs its labelling at the leaf. The accept test of ``search``,
+``is_canonically_labeled``, only adds a stopping rule: after the first path a
+column above the best rejects, and on it one above the identity's own column
+(``graphs._column``). That first path is the identity's: with labels 0..d-1
+on vertices 0..d-1, vertex d is the lowest free vertex and has the identity's
+column, so the largest column either beats it (reject) or ties it with vertex
+d the lowest candidate. Accepted, the test can hand back the automorphisms it
 recorded, which with the twin swaps generate a subgroup of Aut(g) that the
-walker prunes children with. ``graphs._column`` reads the identity's columns
-and ``graphs._triangle`` packs a column string, as in the graph6 codec.
+walker prunes children with. ``graphs._triangle`` packs a column string.
 """
 
 from __future__ import annotations
@@ -95,12 +96,8 @@ def _search(g: Graph, test: bool) -> tuple[list[int], tuple[int, ...], dict] | N
     rows, n, twins = g.rows, g.n, g.twin_masks
     full = (1 << n) - 1
     assigned = [0] * n
-    if test:  # the identity labelling's columns are the fixed target
-        best_cols = [_column(row, d) for d, row in enumerate(rows)]
-        best_assigned = tuple(range(n))
-    else:  # below every column, so the first path sets the best
-        best_cols = [-1] * n
-        best_assigned = None  # None while the path being walked sets a new best
+    best_cols = [-1] * n  # below every column, so the first path sets the best
+    best_assigned = None  # None while the path being walked sets a new best
     gens: dict[tuple[int, ...], int] = {}  # automorphism -> fixed-point mask
     # one frame per open branch node:
     # [d, free, val, ties, todo, explored, stabiliser gens, len(gens) when filtered]
@@ -125,7 +122,8 @@ def _search(g: Graph, test: bool) -> tuple[list[int], tuple[int, ...], dict] | N
             if val < target:
                 break
             if val > target:
-                if test:
+                # the test's first path is the identity's (module docstring)
+                if test and (best_assigned is not None or val > _column(rows[d], d)):
                     return None
                 # a new best from label d on; no deeper target cuts its completion
                 best_cols[d] = val

@@ -152,7 +152,7 @@ def embed_constructive(tree: Tree, target: str, a: int, b: int) -> Embedding:
 
     Supported targets: K(floor(t/2), t-1) for any tree on t vertices;
     K_plus(a, 2a+1) for trees on 2a+2 vertices; K_path(a, 2a+2) and
-    K_matching(a, 2a+2) for trees on 2a+3 vertices.
+    K_matching(a, 2a+2) for trees on 2a+3 vertices; always a >= 1.
     """
     emb, _ = constructive_with_case(tree, target, a, b)
     return emb
@@ -164,6 +164,8 @@ def constructive_with_case(tree: Tree, target: str, a: int, b: int) -> tuple[Emb
     t = tree.graph.n
     if t < 2:
         raise ParameterError(f"constructive embeddings need a tree on at least 2 vertices, got {t}")
+    if a < 1:
+        raise ParameterError(f"constructive embeddings need a >= 1, got a={a}")
     if target == "K":
         if (a, b) != (t // 2, t - 1):
             raise ParameterError(

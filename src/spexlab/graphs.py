@@ -4,9 +4,9 @@ A ``Graph`` is its rows, one Python integer bitmask per vertex, so
 neighborhood intersection, union and popcount are word-parallel; that is what
 the containment search and the exhaustive enumeration spend their time on.
 Graphs are immutable and safe to share between tasks. The representation is
-stated here once: ``_members`` lists a mask's set bits, and ``_pairs``,
-``_column`` and ``_triangle`` give the graph6 triangle order that the codec,
-canon and the orderly walker share.
+stated here once: ``_members`` lists a mask's set bits (``_indices``, as an
+array), and ``_pairs``, ``_column`` and ``_triangle`` give the graph6 triangle
+order that the codec, canon and the orderly walker share.
 
 Vertex labelling of the constructions is fixed: join/clique vertices come
 first, then the independent or augmented part, so tests can rely on exact
@@ -185,8 +185,7 @@ def _members(mask: int) -> tuple[int, ...]:
     """The set bits of a mask in increasing order, in time linear in its length.
 
     Peeling the lowest bit makes a pass over the mask per bit, so only masks
-    of a few bits are peeled; the others are read off their binary digits in
-    one pass.
+    of a few bits are peeled; the others are unpacked by ``_indices``.
     """
     if mask.bit_count() <= 64:
         out = []
@@ -195,12 +194,13 @@ def _members(mask: int) -> tuple[int, ...]:
             out.append(low.bit_length() - 1)
             mask ^= low
         return tuple(out)
-    digits = bin(mask)[:1:-1]
-    out, i = [], digits.find("1")
-    while i >= 0:
-        out.append(i)
-        i = digits.find("1", i + 1)
-    return tuple(out)
+    return tuple(_indices(mask).tolist())
+
+
+def _indices(mask: int) -> np.ndarray:
+    """The set bits of a mask in increasing order, unpacked in one pass into np.intp."""
+    data = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), np.uint8)
+    return np.unpackbits(data, bitorder="little").nonzero()[0]
 
 
 def _mask(bits: list[int]) -> int:

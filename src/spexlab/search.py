@@ -35,7 +35,8 @@ names the excluded trees (the whole family for spex, the one tree for ex),
 whether to prune, whether only connected graphs count, and the objective.
 The objective is the only difference: with no radius seed it is the edge
 count (ex), otherwise the spectral radius (spex). One ledger, ``_offer``,
-keeps the best value and its ties within TIE_TOL for both.
+keeps the best value and its ties within TIE_TOL, as Graphs, for both;
+``_merge`` folds every part through it and encodes only the winners.
 
 Two exact monotone facts allow subtree pruning without changing results: a
 graph containing every excluded tree only gains trees when edges are added,
@@ -61,11 +62,12 @@ walks and examines whole, and the pool hands the units out one at a time.
 ``UNITS_PER_WORKER`` = 16 is measured on a 2-CPU machine, spex with k = 2
 and two workers: 8 and 16 tie at n = 8 (0.48 and 0.49 s; one worker 0.65 s),
 16 wins at n = 9 (2.34 against 2.67 s; one worker 4.06 s) and at n = 10
-(19.4 against 22.9 s; one worker 35.1 s). The merge (sums, max, tie
-filtering, sorted argmax) is associative and commutative, so results are
-identical for any worker count. The worker count defaults to
-``os.cpu_count()`` and is capped there: more processes than CPUs would only
-contend, so both the split and the pool use at most that many.
+(19.4 against 22.9 s; one worker 35.1 s). The merge (sums, and an
+``_offer`` fold that keeps the ties of the overall best in any order) is
+associative and commutative, so results are identical for any worker count.
+The worker count defaults to ``os.cpu_count()`` and is capped there: more
+processes than CPUs would only contend, so both the split and the pool use
+at most that many.
 """
 
 from __future__ import annotations
@@ -131,10 +133,7 @@ def _walk(
             i, j = pairs[pos]
             if _first_image(twins, i, j) < pos or gens and _orbit_earlier(gens, twins, i, j, pos):
                 continue
-            child_rows = list(g.rows)
-            child_rows[i] |= 1 << j
-            child_rows[j] |= 1 << i
-            child = Graph(tuple(child_rows))
+            child = g.with_edge(i, j)
             child_gens: list = []
             if is_canonically_labeled(child, child_gens):
                 yield from rec(child, pos, depth + 1, carried, child_gens)
@@ -252,7 +251,7 @@ def _offer(state: dict, value: float | int, g: Graph) -> None:
         state["best"] = value
         state["cands"] = [c for c in state["cands"] if c[0] >= value - TIE_TOL]
     if value >= state["best"] - TIE_TOL:
-        state["cands"].append((value, graph6.encode(g)))
+        state["cands"].append((value, g))
 
 
 def _process(
@@ -326,16 +325,14 @@ def _run_search(n: int, job: dict, workers: int | None) -> list[dict]:
 
 
 def _merge(parts: list[dict]) -> tuple[int, int, float | int | None, tuple]:
+    merged = _fresh_state()
+    for p in parts:
+        for value, g in p["cands"]:
+            _offer(merged, value, g)
+    winners = sorted({graph6.encode(g) for _, g in merged["cands"]})
     examined = sum(p["examined"] for p in parts)
     in_family = sum(p["in_family"] for p in parts)
-    bests = [p["best"] for p in parts if p["best"] is not None]
-    if not bests:
-        return examined, in_family, None, ()
-    best = max(bests)
-    winners = sorted(
-        {g6 for p in parts for value, g6 in p["cands"] if value >= best - TIE_TOL}
-    )
-    return examined, in_family, best, tuple(winners)
+    return examined, in_family, merged["best"], tuple(winners)
 
 
 # ---------------------------------------------------------------------------

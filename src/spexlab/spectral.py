@@ -34,7 +34,7 @@ import numpy as np
 
 from .canon import canonical_form
 from .errors import ConvergenceError, ParameterError
-from .graphs import Graph, _mask, _members, shells
+from .graphs import Graph, _indices, _mask, _members, shells
 
 __all__ = [
     "PerronData",
@@ -125,9 +125,7 @@ def _neighbours(g: Graph):
     runs: dict[int, np.ndarray] = {}
     for row in g.rows:
         if row not in runs:
-            data = np.frombuffer(row.to_bytes((row.bit_length() + 7) // 8, "little"), np.uint8)
-            bits = np.unpackbits(data, bitorder="little")
-            runs[row] = bits.nonzero()[0] if row else np.array([g.n], dtype=np.intp)
+            runs[row] = _indices(row) if row else np.array([g.n], dtype=np.intp)
     lists = [runs[row] for row in g.rows]
     return np.concatenate(lists), np.cumsum([0] + [len(run) for run in lists])
 

@@ -13,6 +13,7 @@ from spexlab.embed import (
     verify_embedding,
 )
 from spexlab.errors import ParameterError
+from spexlab.graph6 import decode
 from spexlab.graphs import (
     Graph,
     bipartite_plus_edge,
@@ -225,6 +226,14 @@ def test_target_shape_mismatches():
         embed_constructive(path_tree(6), "K_star", 2, 5)
     with pytest.raises(ParameterError, match="at least 2 vertices, got 1"):
         embed_constructive(path_tree(1), "K", 0, 0)
+
+
+@pytest.mark.parametrize(
+    "g6,target,a,b", [("Bg", "K_matching", 0, 2), ("Bg", "K_path", 0, 2), ("A_", "K_plus", 0, 1)]
+)
+def test_empty_small_part_is_refused(g6, target, a, b):
+    with pytest.raises(ParameterError, match="a >= 1"):
+        embed_constructive(tree_from_graph(decode(g6)), target, a, b)
 
 
 def test_containment_depth_is_not_bounded_by_the_recursion_limit():

@@ -1,9 +1,13 @@
+import random
+
 import pytest
 
 from oracles import all_labeled_graphs
 
 from spexlab.errors import ParameterError
 from spexlab.graphs import (
+    _indices,
+    _members,
     bipartite_plus_edge,
     bipartite_plus_matching,
     bipartite_plus_path,
@@ -249,3 +253,14 @@ def test_twin_classes_brute_force(n):
             for other in classes:
                 mask = sum(1 << v for v in other)
                 assert len({(g.rows[v] & mask).bit_count() for v in cls}) == 1  # equitable
+
+
+def test_members_and_indices_list_the_set_bits():
+    rng = random.Random(7)
+    half = sum(1 << i for i in rng.sample(range(200), 100))
+    dense = ((1 << 100_000) - 1) ^ (1 << 3) ^ (1 << 77_777)
+    sparse = sum(1 << i for i in rng.sample(range(100_000), 100)) | (1 << 99_999)
+    for mask in (0, (1 << 64) - 1, ((1 << 65) - 1) << 3, half, dense, sparse):
+        bits = [i for i in range(mask.bit_length()) if mask >> i & 1]
+        assert _members(mask) == tuple(bits)
+        assert _indices(mask).tolist() == bits

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import pytest
 
@@ -441,3 +442,26 @@ def test_walker_is_lazy_and_tests_through_the_module_global(monkeypatch):
     calls[0] = 0
     spex_search(7, 2, workers=1)
     assert calls[0] == 767
+
+
+def test_merge_keeps_exactly_the_near_ties_for_every_split():
+    tol = search.TIE_TOL
+    offered = [
+        (5.0, path_graph(4)),
+        (5.0 - 0.5 * tol, complete_split(5, 2)),
+        (5.0 - 2 * tol, path_graph(5)),
+        (4.0, from_edges(3, [(0, 1)])),
+    ]
+    winners = tuple(sorted(encode(g) for _, g in offered[:2]))
+    for order in itertools.permutations(offered):
+        for cut in range(len(order) + 1):
+            parts = []
+            for chunk in (order[:cut], order[cut:]):
+                state = search._fresh_state()
+                for value, g in chunk:
+                    state["examined"] += 1
+                    state["in_family"] += 1
+                    search._offer(state, value, g)
+                parts.append(state)
+            assert search._merge(parts) == (4, 4, 5.0, winners)
+    assert search._merge([search._fresh_state()]) == (0, 0, None, ())
